@@ -3,8 +3,8 @@
 Approach phase (object not held): the reference approach action verbatim —
 reach for the grasp point, hold the initial palm rotation, keep the effector
 open. Move phase (object held): displace the wrist by (goal - grasp point).
-For articulated objects this coincides with the reference move action once
-the palm rides the grasp manifold; for free objects it compensates the
+For articulated objects this coincides with r_m's reference move
+(goal - palm) once the palm rides the grasp manifold; for free objects it compensates the
 palm-to-grasp offset frozen at attach time, which the success threshold
 (0.05 m) is tighter than. Rotation is held and the effector stays at its
 initial joints throughout.

@@ -159,7 +159,8 @@ class Env:
         anchor = Transform(vec3(dx, dy, 0.0), vec3(0.0, 0.0, yaw))
         self.robot = make_initial_state(self.robot_spec, anchor)
 
-        self.frames = forward_kinematics(self.robot_spec, self.robot.q, anchor)
+        self.frames = forward_kinematics(self.robot_spec, self.robot.q, anchor,
+                                         _chain=self.robot.chain)
         self.prev_frames = None
         self.palm_rotation_init = self.frames.palm.rotation.copy()
         self.effector_init = self.robot.q[9:].copy()

@@ -2,14 +2,16 @@
 
 Conventions:
   - positions are metres in a right-handed, z-up world frame
-  - 3-d rotations are rotation vectors (unit axis * angle, radians);
-    canonical form keeps the angle in [0, pi]
+  - inside the program 3-d rotations are 3x3 matrices; rotation vectors
+    (unit axis * angle, radians; canonical form keeps the angle in [0, pi])
+    appear only at the boundaries: spec tables, observations, reward inputs
+    and files
   - a Transform applies rotation first, then translation
   - everything is float64; all functions are pure
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
@@ -50,11 +52,12 @@ def rotvec_to_matrix(r: np.ndarray) -> np.ndarray:
     """Rodrigues formula; proper orthogonal output.
 
     Angles below 1e-9 use the 2nd-order series to avoid dividing by ~0.
-    Spelled out componentwise: this sits on the kinematics hot path.
+    Spelled out componentwise on Python floats: this sits on the kinematics
+    hot path, where numpy's per-call overhead would dominate.
     """
-    x, y, z = (float(v) for v in r)
+    x, y, z = np.asarray(r, dtype=np.float64).tolist()
     sq = x * x + y * y + z * z
-    angle = np.sqrt(sq)
+    angle = math.sqrt(sq)
     if angle < _TINY_ANGLE:
         # I + K + K^2/2 with K = skew(r)
         return np.array([
@@ -62,8 +65,8 @@ def rotvec_to_matrix(r: np.ndarray) -> np.ndarray:
             [z + 0.5 * x * y, 1.0 - 0.5 * (x * x + z * z), -x + 0.5 * y * z],
             [-y + 0.5 * x * z, x + 0.5 * y * z, 1.0 - 0.5 * (x * x + y * y)],
         ])
-    a = np.sin(angle) / angle
-    b = (1.0 - np.cos(angle)) / sq
+    a = math.sin(angle) / angle
+    b = (1.0 - math.cos(angle)) / sq
     return np.array([
         [1.0 - b * (y * y + z * z), b * x * y - a * z, b * x * z + a * y],
         [b * x * y + a * z, 1.0 - b * (x * x + z * z), b * y * z - a * x],
@@ -72,40 +75,35 @@ def rotvec_to_matrix(r: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_rotvec(m: np.ndarray) -> np.ndarray:
-    """Inverse Rodrigues; returns the canonical (angle <= pi) rotation vector."""
-    cos_angle = (m[0, 0] + m[1, 1] + m[2, 2] - 1.0) * 0.5
-    cos_angle = min(1.0, max(-1.0, float(cos_angle)))
-    angle = float(np.arccos(cos_angle))
-    axial = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
-    if angle < _TINY_ANGLE:
-        return 0.5 * axial
-    if angle > np.pi - 1e-6:
-        # Near pi the axial part vanishes; recover |axis_i| from the
-        # diagonal (a_i^2 = (m_ii - cos) / (1 - cos)) and the signs from
-        # the off-diagonal symmetric part, anchored at the largest entry.
-        a_sq = np.clip((np.diagonal(m) - cos_angle) / (1.0 - cos_angle), 0.0, None)
-        axis = np.sqrt(a_sq)
-        i = int(np.argmax(axis))
-        if axis[i] == 0.0:
-            return vec3(np.pi, 0.0, 0.0)
-        sym = 0.5 * (m + m.T)
-        for j in range(3):
-            if j != i and sym[i, j] < 0.0:
-                axis[j] = -axis[j]
-        if axial[i] < 0.0:
-            axis = -axis
-        return canonicalize_rotvec(unit(axis) * angle)
-    return axial * (angle / (2.0 * np.sin(angle)))
+    """Canonical (angle in [0, pi]) rotation vector of a rotation matrix.
 
-
-def rotate(r: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Rotate point p by rotation vector r."""
-    return rotvec_to_matrix(r) @ np.asarray(p, dtype=np.float64)
-
-
-def rotvec_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rotation vector of (a then applied after b): R(a) @ R(b)."""
-    return matrix_to_rotvec(rotvec_to_matrix(a) @ rotvec_to_matrix(b))
+    Shepperd's method: the unit quaternion (w, v) is read off whichever of
+    trace, m00, m11, m22 is largest, so every division is by 4|q_i| >= 1.6;
+    w is kept >= 0 and the angle is 2 atan2(|v|, w). Unlike arccos of the
+    trace and a division by sin(angle), this stays accurate over the whole
+    range, angles near 0 and pi included.
+    """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = np.asarray(m).tolist()
+    trace = m00 + m11 + m22
+    if trace >= m00 and trace >= m11 and trace >= m22:
+        s = 2.0 * math.sqrt(1.0 + trace)                 # 4w
+        w, x, y, z = 0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s
+    elif m00 >= m11 and m00 >= m22:
+        s = 2.0 * math.sqrt(1.0 + m00 - m11 - m22)       # 4x
+        w, x, y, z = (m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s
+    elif m11 >= m22:
+        s = 2.0 * math.sqrt(1.0 + m11 - m00 - m22)       # 4y
+        w, x, y, z = (m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s
+    else:
+        s = 2.0 * math.sqrt(1.0 + m22 - m00 - m11)       # 4z
+        w, x, y, z = (m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    n = math.sqrt(x * x + y * y + z * z)
+    if n == 0.0:
+        return np.zeros(3)
+    k = 2.0 * math.atan2(n, w) / n
+    return np.array([x * k, y * k, z * k])
 
 
 def rotvec_difference(target: np.ndarray, current: np.ndarray) -> np.ndarray:
@@ -121,16 +119,45 @@ def rotvec_difference(target: np.ndarray, current: np.ndarray) -> np.ndarray:
 # Transforms
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Transform:
-    """Rigid transform: p -> R(rotation) @ p + translation."""
+    """Rigid transform: p -> R @ p + translation.
 
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    rotation: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    Built from a rotation vector (spec tables, anchors, files, tests) or,
+    inside the program, from a rotation matrix with `from_matrix`. The other
+    form is derived on first read and cached: `rotation_matrix` is R,
+    `rotation` the rotation vector (canonical when derived from R).
+    Transforms are values: nothing mutates one after construction.
+    """
 
-    def __post_init__(self):
-        self.translation = np.asarray(self.translation, dtype=np.float64)
-        self.rotation = np.asarray(self.rotation, dtype=np.float64)
+    __slots__ = ("translation", "_rotation", "_matrix")
+
+    def __init__(self, translation=None, rotation=None):
+        self.translation = (np.zeros(3) if translation is None
+                            else np.asarray(translation, dtype=np.float64))
+        self._rotation = (np.zeros(3) if rotation is None
+                          else np.asarray(rotation, dtype=np.float64))
+        self._matrix = None
+
+    @classmethod
+    def from_matrix(cls, translation: np.ndarray, rotation_matrix: np.ndarray) -> "Transform":
+        """Transform from a float64 (3,) translation and (3, 3) rotation matrix."""
+        t = cls.__new__(cls)
+        t.translation = translation
+        t._rotation = None
+        t._matrix = rotation_matrix
+        return t
+
+    @property
+    def rotation(self) -> np.ndarray:
+        if self._rotation is None:
+            self._rotation = matrix_to_rotvec(self._matrix)
+        return self._rotation
+
+    @property
+    def rotation_matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = rotvec_to_matrix(self._rotation)
+        return self._matrix
 
     @staticmethod
     def identity() -> "Transform":
@@ -139,12 +166,12 @@ class Transform:
     def matrix(self) -> np.ndarray:
         """4x4 homogeneous matrix."""
         m = np.eye(4)
-        m[:3, :3] = rotvec_to_matrix(self.rotation)
+        m[:3, :3] = self.rotation_matrix
         m[:3, 3] = self.translation
         return m
 
-    def copy(self) -> "Transform":
-        return Transform(self.translation.copy(), self.rotation.copy())
+    def __repr__(self) -> str:
+        return f"Transform(translation={self.translation!r}, rotation={self.rotation!r})"
 
 
 def transform(tx: float = 0.0, ty: float = 0.0, tz: float = 0.0,
@@ -155,20 +182,19 @@ def transform(tx: float = 0.0, ty: float = 0.0, tz: float = 0.0,
 
 def compose(a: Transform, b: Transform) -> Transform:
     """a o b: apply b first, then a."""
-    ra = rotvec_to_matrix(a.rotation)
-    rb = rotvec_to_matrix(b.rotation)
-    return Transform(a.translation + ra @ b.translation,
-                     matrix_to_rotvec(ra @ rb))
+    ra = a.rotation_matrix
+    return Transform.from_matrix(a.translation + ra @ b.translation,
+                                 ra @ b.rotation_matrix)
 
 
 def invert(t: Transform) -> Transform:
-    r_inv = rotvec_to_matrix(t.rotation).T
-    return Transform(-(r_inv @ t.translation), canonicalize_rotvec(-t.rotation))
+    r_inv = t.rotation_matrix.T
+    return Transform.from_matrix(-(r_inv @ t.translation), r_inv)
 
 
 def apply(t: Transform, p: np.ndarray) -> np.ndarray:
     """Transform point p: rotated then translated."""
-    return rotvec_to_matrix(t.rotation) @ np.asarray(p, dtype=np.float64) + t.translation
+    return t.rotation_matrix @ np.asarray(p, dtype=np.float64) + t.translation
 
 
 # ---------------------------------------------------------------------------

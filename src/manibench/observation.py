@@ -25,9 +25,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .geometry import (
+    matrix_to_rotvec,
     point_distance,
     points_to_point_distances,
-    rotvec_difference,
 )
 from .robot import KinematicFrames, RobotSpec
 from .world import movable_frame
@@ -105,15 +105,19 @@ def _frame_velocities(frames: KinematicFrames, prev: KinematicFrames | None,
     if prev is None:
         return np.zeros(3), np.zeros(3), np.zeros((n, 3)), np.zeros((n, 3))
     palm_v = (frames.palm.translation - prev.palm.translation) / dt
-    palm_w = rotvec_difference(frames.palm.rotation, prev.palm.rotation) / dt
+    palm_w = _angular_velocity(frames.palm, prev.palm, dt)
     tips_v = np.empty((n, 3))
     tips_w = np.empty((n, 3))
     for i in range(n):
         tips_v[i] = (frames.hand_points[i].translation
                      - prev.hand_points[i].translation) / dt
-        tips_w[i] = rotvec_difference(frames.hand_points[i].rotation,
-                                      prev.hand_points[i].rotation) / dt
+        tips_w[i] = _angular_velocity(frames.hand_points[i], prev.hand_points[i], dt)
     return palm_v, palm_w, tips_v, tips_w
+
+
+def _angular_velocity(now, prev, dt: float) -> np.ndarray:
+    """rotvec(R_t @ R_{t-1}^T) / dt: the world-frame rotation over one step."""
+    return matrix_to_rotvec(now.rotation_matrix @ prev.rotation_matrix.T) / dt
 
 
 def assemble(layout: ObservationLayout, *, t: int, max_steps: int, dt: float,

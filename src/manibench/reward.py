@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    Transform,
     point_distance,
     points_to_point_distances,
     rotvec_difference,
@@ -106,14 +105,6 @@ def reference_approach_action(palm_position: np.ndarray, palm_rotation: np.ndarr
     return out
 
 
-def reference_move_action(palm_position: np.ndarray, goal: np.ndarray,
-                          action_dim: int) -> np.ndarray:
-    """Reference post-grasp action; only the positional slots are defined."""
-    out = np.zeros(action_dim)
-    out[0:3] = goal - palm_position
-    return out
-
-
 def reward_approach(action: np.ndarray, reference: np.ndarray, weight: float) -> float:
     """-w * ||a - a_ref|| over all 6+D components."""
     action = np.asarray(action, dtype=np.float64)
@@ -140,10 +131,11 @@ def total_reward(snapshot: RewardSnapshot, action: np.ndarray,
                  weights: RewardWeights) -> RewardTerms:
     """Compose every term and apply the grasp-flag gate."""
     action = np.asarray(action, dtype=np.float64)
-    f_g = grasp_flag(snapshot.hand_points, snapshot.grasp_point,
-                     weights.grasp_threshold)
-    r_d = reward_distance(snapshot.hand_points, snapshot.grasp_point,
-                          snapshot.goal_point, weights.distance)
+    # grasp_flag and reward_distance, sharing one mean hand distance
+    hand_distance = mean_hand_distance(snapshot.hand_points, snapshot.grasp_point)
+    f_g = hand_distance < weights.grasp_threshold
+    r_d = -weights.distance * (hand_distance
+                               + point_distance(snapshot.goal_point, snapshot.grasp_point))
     ref_a = reference_approach_action(
         snapshot.palm_position, snapshot.palm_rotation,
         snapshot.palm_rotation_init, snapshot.grasp_point, snapshot.effector_init)

@@ -87,8 +87,8 @@ def load_checkpoint(path):
     from .ppo import observation_inv_scale
     try:
         policy.obs_inv_scale = observation_inv_scale(make_robot(robot_name))
-    except ValueError:
-        policy.obs_inv_scale = np.ones(policy_widths[0])
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None
     if r.offset != len(r.data):
         raise ValueError(
             f"trailing bytes in checkpoint {path} at byte offset {r.offset}")

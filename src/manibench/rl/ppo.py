@@ -370,6 +370,11 @@ def collect_rollouts(slots, policy: GaussianPolicy, value_net: Mlp, horizon: int
 
 @dataclass
 class UpdateStats:
+    """Means over one update: policy_loss, clip_fraction, grad_norm_policy
+    and approx_kl over the policy steps taken (minibatch_steps of them,
+    fewer than epochs x minibatches once the KL guard stops); the value
+    statistics and entropy over every minibatch step."""
+
     policy_loss: float
     value_loss: float
     entropy: float
@@ -394,7 +399,8 @@ def ppo_update(policy: GaussianPolicy, value_net: Mlp, policy_opt: Adam,
     total = obs.shape[0]
     mb_size = total // cfg.minibatches
 
-    stats = []
+    policy_stats = []  # (policy_loss, clip_frac, gnorm_p, approx_kl) per policy step
+    value_stats = []   # (value_loss, entropy, gnorm_v) per minibatch step
     policy_steps = 0
     stop_policy = False  # KL guard halts policy steps; value keeps training
     for _ in range(cfg.epochs_per_iter):
@@ -406,11 +412,7 @@ def ppo_update(policy: GaussianPolicy, value_net: Mlp, policy_opt: Adam,
             b = len(idx)
 
             mb_obs_scaled = policy.scale_obs(mb_obs)
-            policy_loss = 0.0
             entropy = policy.entropy()
-            clip_frac = 0.0
-            gnorm_p = 0.0
-            approx_kl = 0.0
             if not stop_policy:
                 mb_act = actions[idx]
                 mb_old = old_log_probs[idx]
@@ -447,6 +449,9 @@ def ppo_update(policy: GaussianPolicy, value_net: Mlp, policy_opt: Adam,
                 gnorm_p = clip_gradients(grads, cfg.grad_clip)
                 policy_opt.step(grads)
                 policy_steps += 1
+                if not np.isfinite(policy_loss):
+                    raise TrainingDiverged(f"diverged: policy_loss={policy_loss}")
+                policy_stats.append((policy_loss, clip_frac, gnorm_p, approx_kl))
                 if approx_kl > cfg.target_kl:
                     stop_policy = True
 
@@ -458,15 +463,17 @@ def ppo_update(policy: GaussianPolicy, value_net: Mlp, policy_opt: Adam,
             gnorm_v = clip_gradients(vgrads, cfg.grad_clip)
             value_opt.step(vgrads)
 
-            if not np.isfinite(policy_loss) or not np.isfinite(value_loss):
-                raise TrainingDiverged(
-                    f"diverged: policy_loss={policy_loss} value_loss={value_loss}")
-            stats.append((policy_loss, value_loss, entropy, clip_frac,
-                          gnorm_p, gnorm_v, approx_kl))
+            if not np.isfinite(value_loss):
+                raise TrainingDiverged(f"diverged: value_loss={value_loss}")
+            value_stats.append((value_loss, entropy, gnorm_v))
 
-    agg = np.array(stats)
-    means = [float(x) for x in agg.mean(axis=0)]
-    return UpdateStats(*means, minibatch_steps=policy_steps)
+    # policy statistics over the policy steps taken, value ones over all steps
+    policy_loss, clip_frac, gnorm_p, approx_kl = np.mean(policy_stats, axis=0).tolist()
+    value_loss, entropy, gnorm_v = np.mean(value_stats, axis=0).tolist()
+    return UpdateStats(policy_loss=policy_loss, value_loss=value_loss,
+                       entropy=entropy, clip_fraction=clip_frac,
+                       grad_norm_policy=gnorm_p, grad_norm_value=gnorm_v,
+                       approx_kl=approx_kl, minibatch_steps=policy_steps)
 
 
 # ---------------------------------------------------------------------------

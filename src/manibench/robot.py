@@ -18,13 +18,13 @@ palm, the N hand points, and arm-link midpoints padding to the fixed count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
     Transform,
-    canonicalize_rotvec,
     matrix_to_rotvec,
     rotvec_to_matrix,
     transform,
@@ -74,13 +74,13 @@ class GripperSpec:
         return np.array([self.joint_limits[0][1]])
 
     def hand_point_offsets(self, q: np.ndarray):
-        """Palm-local (translation, rotvec) per hand point: L tip, R tip, root."""
+        """Palm-local (translation, rotation matrix) per hand point: L tip,
+        R tip, root. The fingertips do not rotate: the matrix is None."""
         half = self.tip_lateral_base + float(q[0])
-        zero = np.zeros(3)
         return [
-            (vec3(half, 0.0, 0.0), zero),
-            (vec3(-half, 0.0, 0.0), zero),
-            (vec3(0.0, -self.knuckle_back, 0.0), zero),
+            (vec3(half, 0.0, 0.0), None),
+            (vec3(-half, 0.0, 0.0), None),
+            (vec3(0.0, -self.knuckle_back, 0.0), None),
         ]
 
 
@@ -114,11 +114,11 @@ class HandSpec:
         return np.zeros(self.dof)
 
     def hand_point_offsets(self, q: np.ndarray):
+        """Palm-local (translation, rotation matrix) per fingertip."""
         out = []
         for f in self.fingers:
-            rot = canonicalize_rotvec(f.axis * float(q[f.joint_index]))
-            tip = f.knuckle + rotvec_to_matrix(rot) @ f.tip_offset
-            out.append((tip, rot))
+            rot = rotvec_to_matrix(f.axis * float(q[f.joint_index]))
+            out.append((f.knuckle + rot @ f.tip_offset, rot))
         return out
 
 
@@ -302,6 +302,7 @@ class RobotState:
     prev_action: np.ndarray
     wrist_pose: Transform
     base_anchor: Transform
+    chain: tuple                  # _wrist_chain(spec, q, base_anchor)
     ik_warning: bool = False
 
 
@@ -312,14 +313,15 @@ def make_initial_state(spec: RobotSpec, base_anchor: Transform,
     q[2:9] = spec.home_arm_q if arm_q is None else arm_q
     q[9:] = spec.effector.open_pose if effector_q is None else effector_q
     q = spec.clamp_q(q)
-    frames = forward_kinematics(spec, q, base_anchor)
+    chain = _wrist_chain(spec, q, base_anchor)
     return RobotState(
         q=q,
         qdot=np.zeros(spec.n_joints),
         qddot=np.zeros(spec.n_joints),
         prev_action=np.zeros(spec.action_dim),
-        wrist_pose=frames.wrist,
-        base_anchor=base_anchor.copy(),
+        wrist_pose=Transform.from_matrix(chain[1], chain[0]),
+        base_anchor=base_anchor,
+        chain=chain,
     )
 
 
@@ -341,24 +343,6 @@ class KinematicFrames:
         return np.array([t.translation for t in self.hand_points])
 
 
-def _axis_angle_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rotation about a unit axis, written out componentwise (hot path)."""
-    ux, uy, uz = float(axis[0]), float(axis[1]), float(axis[2])
-    c, s = np.cos(angle), np.sin(angle)
-    ic = 1.0 - c
-    return np.array([
-        [c + ux * ux * ic, ux * uy * ic - uz * s, ux * uz * ic + uy * s],
-        [uy * ux * ic + uz * s, c + uy * uy * ic, uy * uz * ic - ux * s],
-        [uz * ux * ic - uy * s, uz * uy * ic + ux * s, c + uz * uz * ic],
-    ])
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
-
-
 class _CompiledSpec:
     """Per-spec constants hoisted out of the FK inner loop.
 
@@ -370,23 +354,26 @@ class _CompiledSpec:
     def __init__(self, spec: RobotSpec):
         def rot_or_none(t: Transform):
             # None marks an identity offset rotation: the chain skips it
-            if float(np.abs(t.rotation).max()) == 0.0:
-                return None
-            return _to_tuples(rotvec_to_matrix(t.rotation))
+            r = t.rotation_matrix
+            return None if np.array_equal(r, np.eye(3)) else r
 
-        self.mount_t = tuple(spec.base_mount.translation)
-        self.mount_r = rot_or_none(spec.base_mount)
-        self.arm_t = [tuple(off.translation) for off in spec.arm_offsets]
-        self.arm_r = [rot_or_none(off) for off in spec.arm_offsets]
-        self.arm_axes = [tuple(spec.arm_axes[i]) for i in range(7)]
-        self.wrist_t = tuple(spec.wrist_offset.translation)
-        self.wrist_r = rot_or_none(spec.wrist_offset)
+        def tuples(a: np.ndarray):
+            # nested tuples of Python floats unpack fastest in the chain
+            return tuple(map(tuples, a)) if a.ndim > 1 else tuple(a.tolist())
+
+        def rows_or_none(t: Transform):
+            r = rot_or_none(t)
+            return None if r is None else tuples(r)
+
+        self.mount_t = tuples(spec.base_mount.translation)
+        self.mount_r = rows_or_none(spec.base_mount)
+        self.arm_t = [tuples(off.translation) for off in spec.arm_offsets]
+        self.arm_r = [rows_or_none(off) for off in spec.arm_offsets]
+        self.arm_axes = tuples(spec.arm_axes)
+        self.wrist_t = tuples(spec.wrist_offset.translation)
+        self.wrist_r = rows_or_none(spec.wrist_offset)
         self.palm_t = spec.palm_offset.translation
-        self.palm_r = rotvec_to_matrix(spec.palm_offset.rotation)
-
-
-def _to_tuples(m: np.ndarray):
-    return tuple(tuple(float(x) for x in row) for row in m)
+        self.palm_r = rot_or_none(spec.palm_offset)
 
 
 def _compiled(spec: RobotSpec) -> _CompiledSpec:
@@ -394,15 +381,6 @@ def _compiled(spec: RobotSpec) -> _CompiledSpec:
     if cached is None:
         cached = _CompiledSpec(spec)
         object.__setattr__(spec, "_compiled_cache", cached)  # frozen dataclass
-    return cached
-
-
-def _anchor_tuples(anchor: Transform):
-    cached = getattr(anchor, "_chain_cache", None)
-    if cached is None:
-        cached = (_to_tuples(rotvec_to_matrix(anchor.rotation)),
-                  tuple(float(x) for x in anchor.translation))
-        anchor._chain_cache = cached  # anchors are episode constants
     return cached
 
 
@@ -434,8 +412,8 @@ def _mv(a, v):
 
 def _axis_angle_tuples(axis, angle: float):
     ux, uy, uz = axis
-    c = np.cos(angle)
-    s = np.sin(angle)
+    c = math.cos(angle)
+    s = math.sin(angle)
     ic = 1.0 - c
     return (
         (c + ux * ux * ic, ux * uy * ic - uz * s, ux * uz * ic + uy * s),
@@ -449,18 +427,20 @@ def _wrist_chain(spec: RobotSpec, q: np.ndarray, anchor: Transform):
     cs = _compiled(spec)
     origins = np.empty((9, 3))
     axes = np.empty((9, 3))
-    r, p = _anchor_tuples(anchor)
+    r = anchor.rotation_matrix.tolist()
+    p = anchor.translation.tolist()
 
-    q0 = float(q[0])
+    q = q.tolist()  # the chain runs on Python floats
+    q0 = q[0]
     origins[0] = p
     axes[0] = _mv(r, (0.0, 0.0, 1.0))      # yaw about world z (anchor upright)
-    c, s = np.cos(q0), np.sin(q0)
+    c, s = math.cos(q0), math.sin(q0)
     r = _mm(r, ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0)))
 
     drive = _mv(r, (0.0, 1.0, 0.0))        # local y after yaw
     axes[1] = drive
     origins[1] = p
-    q1 = float(q[1])
+    q1 = q[1]
     p = (p[0] + drive[0] * q1, p[1] + drive[1] * q1, p[2] + drive[2] * q1)
 
     t = _mv(r, cs.mount_t)
@@ -475,7 +455,7 @@ def _wrist_chain(spec: RobotSpec, q: np.ndarray, anchor: Transform):
             r = _mm(r, cs.arm_r[i])
         origins[2 + i] = p
         axes[2 + i] = _mv(r, cs.arm_axes[i])
-        r = _mm(r, _axis_angle_tuples(cs.arm_axes[i], float(q[2 + i])))
+        r = _mm(r, _axis_angle_tuples(cs.arm_axes[i], q[2 + i]))
 
     t = _mv(r, cs.wrist_t)
     pw = np.array((p[0] + t[0], p[1] + t[1], p[2] + t[2]))
@@ -499,16 +479,15 @@ def forward_kinematics(spec: RobotSpec, q: np.ndarray,
     cs = _compiled(spec)
     rw, pw, origins, axes = _chain if _chain is not None \
         else _wrist_chain(spec, q, base_anchor)
-    rp = rw @ cs.palm_r
+    rp = rw if cs.palm_r is None else rw @ cs.palm_r
     pp = pw + rw @ cs.palm_t
-    palm = Transform(pp, matrix_to_rotvec(rp))
-    wrist = Transform(pw, matrix_to_rotvec(rw))
+    palm = Transform.from_matrix(pp, rp)
+    wrist = Transform.from_matrix(pw, rw)
 
-    hand_points = []
-    for local_t, local_r in spec.effector.hand_point_offsets(q[9:]):
-        hp = pp + rp @ local_t
-        hr = rp @ rotvec_to_matrix(local_r)
-        hand_points.append(Transform(hp, matrix_to_rotvec(hr)))
+    hand_points = [
+        Transform.from_matrix(pp + rp @ local_t,
+                              rp if local_r is None else rp @ local_r)
+        for local_t, local_r in spec.effector.hand_point_offsets(q[9:])]
 
     pads = spec.n_midpoint_pads
     chain_pts = np.vstack([origins[2:], pw[None, :]])   # 7 arm origins + wrist
@@ -534,13 +513,16 @@ def wrist_jacobian(spec: RobotSpec, q: np.ndarray, base_anchor: Transform) -> np
 
 
 def _jacobian_from_chain(pw, origins, axes) -> np.ndarray:
-    j = np.zeros((6, 9))
-    j[0:3, 0] = _cross(axes[0], pw - origins[0])
-    j[3:6, 0] = axes[0]
+    # revolute columns: (axis x (pw - origin), axis), all 9 at once
+    ax, ay, az = axes.T
+    dx, dy, dz = (pw - origins).T
+    j = np.empty((6, 9))
+    j[0] = ay * dz - az * dy
+    j[1] = az * dx - ax * dz
+    j[2] = ax * dy - ay * dx
+    j[3:6] = axes.T
     j[0:3, 1] = axes[1]                                  # prismatic: no angular part
-    for i in range(2, 9):
-        j[0:3, i] = _cross(axes[i], pw - origins[i])
-        j[3:6, i] = axes[i]
+    j[3:6, 1] = 0.0
     return j
 
 
@@ -557,23 +539,27 @@ _IK_FAIL_POS = 1e-3
 
 def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
              target: Transform, fixed_base: bool = False,
-             max_iters: int = _IK_MAX_ITERS) -> np.ndarray:
+             max_iters: int = _IK_MAX_ITERS, _chain=None) -> np.ndarray:
     """Damped-least-squares IK for the wrist pose.
 
     Returns a copy of q0 with the first 9 (base+arm) entries updated;
     effector joints are untouched. fixed_base freezes the 2 base columns.
     Raises IkNotConverged when the position residual stays above 1e-3 m.
+    _chain lets the caller hand over the wrist chain it already holds for q0.
     """
     q = np.array(q0, dtype=np.float64)
-    r_target = rotvec_to_matrix(target.rotation)
+    r_target = target.rotation_matrix
     cols = slice(2, 9) if fixed_base else slice(0, 9)
     damping = _DLS_LAMBDA ** 2 * np.eye(6)
 
-    pos_err = np.inf
     best_err = np.inf
     stalled = 0
     for _ in range(max_iters):
-        rw, pw, origins, axes = _wrist_chain(spec, q, base_anchor)
+        if _chain is None:
+            rw, pw, origins, axes = _wrist_chain(spec, q, base_anchor)
+        else:
+            rw, pw, origins, axes = _chain
+            _chain = None
         e = np.empty(6)
         e[0:3] = target.translation - pw
         e[3:6] = matrix_to_rotvec(r_target @ rw.T)
@@ -586,7 +572,7 @@ def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
         if pos_err > best_err - 1e-7:
             stalled += 1
             if stalled >= 3:
-                break
+                break  # pos_err already measures this q
         else:
             stalled = 0
         best_err = min(best_err, pos_err)
@@ -594,10 +580,10 @@ def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
         dq = j.T @ np.linalg.solve(j @ j.T + damping, e)
         q[cols] += dq
         q[0:9] = np.clip(q[0:9], spec.joint_limits[0:9, 0], spec.joint_limits[0:9, 1])
-
-    # Re-measure after the final update.
-    _, pw, _, _ = _wrist_chain(spec, q, base_anchor)
-    pos_err = float(np.linalg.norm(target.translation - pw))
+    else:
+        # Re-measure after the final update.
+        _, pw, _, _ = _wrist_chain(spec, q, base_anchor)
+        pos_err = float(np.linalg.norm(target.translation - pw))
     if pos_err > _IK_FAIL_POS:
         raise IkNotConverged(q, pos_err)
     return q
@@ -626,16 +612,14 @@ def apply_action_with_chain(spec: RobotSpec, state: RobotState, action: Action,
     eff_target = np.clip(np.asarray(action.effector, dtype=np.float64),
                          eff_lim[:, 0], eff_lim[:, 1])
 
-    target = Transform(
-        state.wrist_pose.translation + d_pos,
-        matrix_to_rotvec(rotvec_to_matrix(d_rot)
-                         @ rotvec_to_matrix(state.wrist_pose.rotation)),
-    )
+    wrist = state.wrist_pose
+    target = Transform.from_matrix(wrist.translation + d_pos,
+                                   rotvec_to_matrix(d_rot) @ wrist.rotation_matrix)
 
     ik_warning = False
     try:
         q_target = ik_solve(spec, state.q, state.base_anchor, target,
-                            fixed_base=fixed_base)
+                            fixed_base=fixed_base, _chain=state.chain)
     except IkNotConverged as exc:
         q_target = exc.best_q
         ik_warning = True
@@ -656,8 +640,9 @@ def apply_action_with_chain(spec: RobotSpec, state: RobotState, action: Action,
         qdot=qdot_new,
         qddot=qddot_new,
         prev_action=np.concatenate([d_pos, d_rot, eff_target]),
-        wrist_pose=Transform(chain[1], matrix_to_rotvec(chain[0])),
+        wrist_pose=Transform.from_matrix(chain[1], chain[0]),
         base_anchor=state.base_anchor,
+        chain=chain,
         ik_warning=ik_warning,
     )
     return new_state, chain

@@ -18,7 +18,6 @@ from .geometry import (
     Transform,
     apply,
     compose,
-    canonicalize_rotvec,
     invert,
     rotvec_to_matrix,
     transform,
@@ -72,12 +71,7 @@ class ObjectState:
     attach_offset: Transform | None = None
 
     def copy(self) -> "ObjectState":
-        return ObjectState(
-            joint_value=self.joint_value,
-            free_pose=None if self.free_pose is None else self.free_pose.copy(),
-            attached=self.attached,
-            attach_offset=None if self.attach_offset is None else self.attach_offset.copy(),
-        )
+        return replace(self)  # the poses are Transforms: values, shared freely
 
 
 @dataclass
@@ -85,7 +79,6 @@ class TaskSpec:
     object: ObjectModel
     skill: str
     goal_point: np.ndarray | None = None   # frozen at reset
-    init_rule: dict | None = None
 
     def __post_init__(self):
         validate_skill(self.object, self.skill)
@@ -115,16 +108,15 @@ def validate_skill(obj: ObjectModel, skill: str) -> None:
 
 def _joint_motion(obj: ObjectModel, q: float) -> Transform:
     if obj.kind == REVOLUTE:
-        return Transform(np.zeros(3), canonicalize_rotvec(obj.joint_axis * q))
-    return Transform(obj.joint_axis * q, np.zeros(3))
+        return Transform.from_matrix(np.zeros(3), rotvec_to_matrix(obj.joint_axis * q))
+    return Transform.from_matrix(obj.joint_axis * q, np.eye(3))
 
 
-def _frame0(obj: ObjectModel):
-    """(R, p, Transform) of base_pose o joint_anchor, cached on the model."""
+def _frame0(obj: ObjectModel) -> Transform:
+    """base_pose o joint_anchor, cached on the model."""
     cached = getattr(obj, "_frame0_cache", None)
     if cached is None:
-        f = compose(obj.base_pose, obj.joint_anchor)
-        cached = (rotvec_to_matrix(f.rotation), f.translation, f)
+        cached = compose(obj.base_pose, obj.joint_anchor)
         object.__setattr__(obj, "_frame0_cache", cached)  # frozen dataclass
     return cached
 
@@ -135,24 +127,23 @@ def movable_frame(obj: ObjectModel, state: ObjectState) -> Transform:
         if state.free_pose is None:
             raise ValueError("free object state needs free_pose")
         return state.free_pose
-    return compose(_frame0(obj)[2], _joint_motion(obj, state.joint_value))
+    return compose(_frame0(obj), _joint_motion(obj, state.joint_value))
 
 
 def grasp_point(obj: ObjectModel, state: ObjectState) -> np.ndarray:
     """World position of the grasp point."""
     if obj.kind == FREE:
         return apply(movable_frame(obj, state), obj.grasp_offset)
-    r0, p0, _ = _frame0(obj)
     if obj.kind == REVOLUTE:
         local = rotvec_to_matrix(obj.joint_axis * state.joint_value) @ obj.grasp_offset
     else:
         local = obj.grasp_offset + obj.joint_axis * state.joint_value
-    return r0 @ local + p0
+    return apply(_frame0(obj), local)
 
 
 def initial_state(obj: ObjectModel, joint_value: float = 0.0) -> ObjectState:
     if obj.kind == FREE:
-        return ObjectState(free_pose=obj.base_pose.copy())
+        return ObjectState(free_pose=obj.base_pose)
     lo, hi = obj.joint_range
     return ObjectState(joint_value=float(np.clip(joint_value, lo, hi)))
 
@@ -227,8 +218,8 @@ def object_follow(obj: ObjectModel, state: ObjectState, palm: Transform) -> Obje
         out.free_pose = compose(palm, state.attach_offset)
         return out
 
-    r0, p0, _ = _frame0(obj)
-    p_local = r0.T @ (palm.translation - p0)
+    frame0 = _frame0(obj)
+    p_local = frame0.rotation_matrix.T @ (palm.translation - frame0.translation)
     axis = obj.joint_axis
     lo, hi = obj.joint_range
 

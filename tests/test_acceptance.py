@@ -203,6 +203,7 @@ def trained_lid_policy():
     return result
 
 
+@pytest.mark.slow
 def test_criterion_6_ppo_learning(trained_lid_policy):
     task = w.make_task("laptop", "open")
     spec = rb.gripper_bot()

@@ -118,3 +118,18 @@ def test_workers_env_var_override(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "eval", "--task", "laptop", "--skill", "open",
                            "--episodes", "1", "--seed", "0", "--workers", "7")
     assert code == 0  # env var wins silently; eval is single-env anyway
+
+
+def test_eval_checkpoint_of_unknown_robot_exits_one(tmp_path, capsys):
+    from manibench import rl
+    from manibench.robot import gripper_bot
+
+    spec = gripper_bot()
+    policy, value_net = rl.build_nets(spec, rl.PPOConfig(seed=0))
+    ck = tmp_path / "ck.mmrl"
+    rl.save_checkpoint(ck, policy, value_net, "no-such-bot", spec.dof_effector)
+    code, out, err = run_cli(capsys, "eval", "--episodes", "1",
+                             "--config", str(_cfg(tmp_path, {"policy": str(ck)})))
+    assert code == 1
+    assert "no-such-bot" in err
+    assert "success_rate" not in out

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from manibench import geometry as geo
 from manibench import world as w
 from manibench.control import ScriptedController, run_scripted_episode
 from manibench.env import Env, EpisodeConfig, EpisodeFinished, episode_rng
 from manibench.reward import RewardWeights, mean_hand_distance
-from manibench.robot import gripper_bot
+from manibench.robot import _wrist_chain, gripper_bot, hand_bot
 
 
 def make_env(object_name="laptop", skill="open", robot=None, **cfg):
@@ -242,3 +243,30 @@ def test_episode_rng_streams_independent():
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
     np.testing.assert_array_equal(a, episode_rng(1, 2, 0).uniform(size=4))
+
+
+# ---------------------------------------------------------------------------
+# matrix-native frames
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("robot", [gripper_bot, hand_bot])
+def test_stored_chain_and_rotations_match_fresh_computation(robot):
+    spec = robot()
+    env = make_env("laptop", "open", robot=spec, seed=3)
+    env.reset(0)
+    controller = ScriptedController()
+    steps = 0
+    while not env.done:
+        env.step(controller.action_for(env))
+        steps += 1
+        state = env.robot
+        fresh = _wrist_chain(spec, state.q, state.base_anchor)
+        for held, recomputed in zip(state.chain, fresh):
+            np.testing.assert_array_equal(held, recomputed)
+        assert state.wrist_pose.rotation_matrix is state.chain[0]
+        frames = [state.wrist_pose, env.frames.wrist, env.frames.palm,
+                  *env.frames.hand_points]
+        for frame in frames:
+            np.testing.assert_array_equal(
+                frame.rotation, geo.matrix_to_rotvec(frame.rotation_matrix))
+    assert env.success and steps > 10

@@ -55,12 +55,16 @@ def test_matrix_to_rotvec_round_trip():
 
 
 def test_matrix_to_rotvec_near_pi():
+    # angles in [pi - 1e-3, pi], where sin(angle) -> 0: the rotation must
+    # still round-trip to machine precision
     rng = np.random.default_rng(3)
-    for _ in range(200):
+    for k in range(500):
         axis = geo.unit(rng.normal(size=3))
-        r = axis * (np.pi - rng.uniform(0, 1e-7))
-        m_back = geo.rotvec_to_matrix(geo.matrix_to_rotvec(geo.rotvec_to_matrix(r)))
-        np.testing.assert_allclose(m_back, geo.rotvec_to_matrix(r), atol=1e-6)
+        angle = np.pi if k == 0 else np.pi - rng.uniform(0.0, 1e-3)
+        m = geo.rotvec_to_matrix(axis * angle)
+        r = geo.matrix_to_rotvec(m)
+        assert np.linalg.norm(r) <= np.pi
+        assert np.max(np.abs(geo.rotvec_to_matrix(r) - m)) <= 1e-12
 
 
 def test_canonicalize_wraps_large_angles():
@@ -74,6 +78,19 @@ def test_canonicalize_wraps_large_angles():
 # ---------------------------------------------------------------------------
 # compose / apply / invert
 # ---------------------------------------------------------------------------
+
+def test_transform_from_matrix_derives_canonical_rotation():
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        m = geo.rotvec_to_matrix(rng.uniform(-np.pi, np.pi, 3))
+        p = rng.uniform(-2, 2, 3)
+        t = geo.Transform.from_matrix(p, m)
+        assert t.rotation_matrix is m
+        np.testing.assert_array_equal(t.rotation, geo.matrix_to_rotvec(m))
+        assert t.rotation is t.rotation  # derived once, then cached
+        np.testing.assert_allclose(
+            geo.Transform(p, t.rotation).matrix(), t.matrix(), atol=1e-12)
+
 
 def test_compose_identity():
     rng = np.random.default_rng(4)

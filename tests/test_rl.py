@@ -284,6 +284,36 @@ def test_update_reduces_value_error():
     assert err_after < err_before
 
 
+def test_update_stats_average_over_policy_steps_taken():
+    _, policy, value_net, slots = tiny_setup(n_envs=4)
+    cfg = rl.PPOConfig(num_envs=4, rollout_horizon=8, seed=0, target_kl=1e-12)
+    batch = rl.collect_rollouts(slots, policy, value_net, 8, RewardWeights())
+    batch.advantages, batch.returns = rl.compute_gae(
+        batch.rewards, batch.values, batch.dones, batch.bootstrap, 0.99, 0.95)
+    # move the old log-probs off the current policy so the first step's KL
+    # is well above target_kl: the guard stops after one policy step
+    batch.log_probs = batch.log_probs - np.random.default_rng(5).uniform(
+        0.1, 0.5, batch.log_probs.shape)
+
+    total = batch.log_probs.size
+    idx = np.random.default_rng(2).permutation(total)[:total // cfg.minibatches]
+    obs = batch.observations.reshape(-1, 146)[idx]
+    actions = batch.actions.reshape(-1, 7)[idx]
+    ratio = np.exp(policy.log_prob(policy.mean(obs), actions)
+                   - batch.log_probs.reshape(-1)[idx])
+    first_kl = float(((ratio - 1.0) - np.log(ratio)).mean())
+    first_clip = float((np.abs(ratio - 1.0) > cfg.clip_ratio).mean())
+
+    stats = rl.ppo_update(policy, value_net, rl.Adam(policy.parameters(), 1e-3),
+                          rl.Adam(value_net.parameters(), 1e-3), batch, cfg,
+                          np.random.default_rng(2))
+    assert stats.minibatch_steps == 1 < cfg.epochs_per_iter * cfg.minibatches
+    assert first_kl > 0.01
+    assert stats.approx_kl == pytest.approx(first_kl, rel=1e-9)
+    assert stats.clip_fraction == pytest.approx(first_clip, abs=1e-12)
+    assert stats.grad_norm_policy > 0.0 and stats.grad_norm_value > 0.0
+
+
 def test_advantage_normalization_idempotent_under_rescale():
     adv = np.random.default_rng(10).normal(size=256)
     n1 = (adv - adv.mean()) / (adv.std() + 1e-8)

@@ -136,6 +136,26 @@ def test_revolute_column_geometric_definition():
         j[0:3, 2], np.cross(axis, frames.wrist.translation - origin), atol=1e-12)
 
 
+def test_jacobian_equals_column_by_column_cross_products():
+    rng = np.random.default_rng(21)
+    for spec in (rb.gripper_bot(), rb.hand_bot()):
+        for _ in range(20):
+            q = rng.uniform(spec.joint_limits[:, 0], spec.joint_limits[:, 1])
+            anchor = geo.transform(*rng.uniform(-1, 1, 2), 0.0, rz=rng.uniform(-3, 3))
+            frames = rb.forward_kinematics(spec, q, anchor)
+            pw, origins, axes = frames.wrist.translation, frames.joint_origins, frames.joint_axes
+            expected = np.zeros((6, 9))
+            for i in range(9):
+                a, d = axes[i], pw - origins[i]
+                expected[0:3, i] = [a[1] * d[2] - a[2] * d[1],
+                                    a[2] * d[0] - a[0] * d[2],
+                                    a[0] * d[1] - a[1] * d[0]]
+                expected[3:6, i] = axes[i]
+            expected[0:3, 1] = axes[1]          # prismatic drive
+            expected[3:6, 1] = 0.0
+            np.testing.assert_array_equal(rb.wrist_jacobian(spec, q, anchor), expected)
+
+
 def fd_jacobian(spec, q, anchor, h=1e-6):
     j = np.zeros((6, 9))
     for i in range(9):
