@@ -48,9 +48,6 @@ class RunConfig:
         return self
 
 
-_SCALARS = (int, float, str, bool)
-
-
 def _coerce(key: str, value, default):
     if isinstance(default, bool):
         if not isinstance(value, bool):

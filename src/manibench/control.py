@@ -15,7 +15,6 @@ import numpy as np
 
 from .geometry import rotvec_difference
 from .reward import reference_approach_action
-from .world import grasp_point
 
 
 class ScriptedController:
@@ -29,7 +28,7 @@ class ScriptedController:
 
     def action_for(self, env) -> np.ndarray:
         palm = env.frames.palm
-        grasp = grasp_point(env.task.object, env.object_state)
+        grasp = env.grasp
         if not env.object_state.attached:
             return reference_approach_action(
                 palm.translation, palm.rotation, env.palm_rotation_init,

@@ -10,8 +10,9 @@ field order:
   total | observation
 
 Stored states are post-action snapshots indexed from 1; the reward in a block
-is recomputable from that same block's state and action. Only successful
-episodes are stored. Images are not recorded; the header marks
+is recomputable from that same block's state and action. The header records
+the fixed grasp/success thresholds; a file with other values is malformed.
+Only successful episodes are stored. Images are not recorded; the header marks
 "sensors: none" for forward compatibility.
 """
 from __future__ import annotations
@@ -24,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .env import Env, EpisodeConfig
-from .observation import ObservationLayout
-from .reward import RewardWeights
+from .observation import ObservationLayout, check_policy_obs_dim
+from .reward import GRASP_THRESHOLD, SUCCESS_THRESHOLD, RewardWeights
 from .robot import RobotSpec, make_robot
 from .world import TaskSpec, make_task
 
@@ -109,6 +110,26 @@ def _object_state_row(state) -> np.ndarray:
     return row
 
 
+def _frame_row(env: Env, action: np.ndarray, obs, info: dict) -> dict:
+    """Every recorded field of the frame a step just produced: recording
+    stores this row and replay compares it column by column."""
+    robot = env.robot
+    return {
+        "t": float(env.t),
+        "q": robot.q.copy(),
+        "qdot": robot.qdot.copy(),
+        "qddot": robot.qddot.copy(),
+        "wrist": np.concatenate([robot.wrist_pose.translation, robot.wrist_pose.rotation]),
+        "object_state": _object_state_row(env.object_state),
+        "grasp": np.array(info["grasp_point"], dtype=np.float64),
+        "goal": env.task.goal_point.copy(),
+        "f_g": 1.0 if info["f_g"] else 0.0,
+        "actions": action,
+        "reward_terms": info["terms"].as_array(),
+        "observations": obs.values.copy(),
+    }
+
+
 def record_rollout(policy, task: TaskSpec, robot_spec: RobotSpec,
                    episode_config: EpisodeConfig, seed: int, retries: int = 10,
                    weights: RewardWeights | None = None) -> Trajectory | None:
@@ -117,6 +138,7 @@ def record_rollout(policy, task: TaskSpec, robot_spec: RobotSpec,
     Returns the successful trajectory, or None when retries are exhausted
     (the caller logs a generation failure).
     """
+    check_policy_obs_dim(policy, robot_spec)
     weights = weights or RewardWeights()
     for attempt in range(retries + 1):
         config = replace(episode_config, seed=seed + attempt)
@@ -127,19 +149,8 @@ def record_rollout(policy, task: TaskSpec, robot_spec: RobotSpec,
             action = np.asarray(policy.deterministic_action(obs.values, env),
                                 dtype=np.float64)
             obs, _, _, info = env.step(action, weights)
-            rows["t"].append(float(env.t))
-            rows["q"].append(env.robot.q.copy())
-            rows["qdot"].append(env.robot.qdot.copy())
-            rows["qddot"].append(env.robot.qddot.copy())
-            rows["wrist"].append(np.concatenate([env.robot.wrist_pose.translation,
-                                                 env.robot.wrist_pose.rotation]))
-            rows["object_state"].append(_object_state_row(env.object_state))
-            rows["grasp"].append(np.asarray(info["grasp_point"], dtype=np.float64))
-            rows["goal"].append(env.task.goal_point.copy())
-            rows["f_g"].append(1.0 if info["f_g"] else 0.0)
-            rows["actions"].append(action)
-            rows["reward_terms"].append(info["terms"].as_array())
-            rows["observations"].append(obs.values.copy())
+            for name, value in _frame_row(env, action, obs, info).items():
+                rows[name].append(value)
         if not env.success:
             continue
         arrays = {name: np.array(vals) for name, vals in rows.items()}
@@ -184,34 +195,31 @@ _CONFIG_FIELDS = ("seed", "max_steps", "dt", "base_offset_range", "yaw_range",
                   "grasp_threshold", "success_threshold", "fixed_base")
 _WEIGHT_FIELDS = ("distance", "approach", "grasp", "move", "success",
                   "grasp_threshold", "success_threshold")
+# recorded in both header lines, fixed in the code
+_FIXED_THRESHOLDS = {"grasp_threshold": GRASP_THRESHOLD,
+                     "success_threshold": SUCCESS_THRESHOLD}
 
 
-def _config_to_json(config: EpisodeConfig) -> str:
-    return json.dumps({k: _enc(getattr(config, k)) for k in _CONFIG_FIELDS})
+def _header_json(obj, names) -> str:
+    return json.dumps({k: _enc(getattr(obj, k)) for k in names})
 
 
-def _config_from_json(text: str) -> EpisodeConfig:
+def _from_header_json(cls, line: str, text: str, names):
+    """Rebuild a config dataclass from its header line; the thresholds it
+    records must be the fixed ones."""
     raw = json.loads(text)
-    return EpisodeConfig(**{k: _dec(raw[k]) for k in _CONFIG_FIELDS})
-
-
-def _weights_to_json(weights: RewardWeights) -> str:
-    return json.dumps({k: _enc(getattr(weights, k)) for k in _WEIGHT_FIELDS})
-
-
-def _weights_from_json(text: str) -> RewardWeights:
-    raw = json.loads(text)
-    return RewardWeights(**{k: _dec(raw[k]) for k in _WEIGHT_FIELDS})
+    values = {k: _dec(raw[k]) for k in names}
+    for name, fixed in _FIXED_THRESHOLDS.items():
+        value = values.pop(name)
+        if value != fixed:
+            raise MalformedTrajectory(
+                f"{line} field {name!r} is {value!r}, but the threshold is fixed at {fixed!r}")
+    return cls(**values)
 
 
 # ---------------------------------------------------------------------------
 # write / read
 # ---------------------------------------------------------------------------
-
-def _frame_width(traj: Trajectory) -> int:
-    return sum(1 if getattr(traj, name).ndim == 1 else getattr(traj, name).shape[1]
-               for name in _ARRAY_FIELDS)
-
 
 def write(traj: Trajectory, path) -> None:
     path = Path(path)
@@ -226,8 +234,8 @@ def write(traj: Trajectory, path) -> None:
         f"frames: {traj.length}",
         f"success: {str(traj.success).lower()}",
         "sensors: none",
-        f"config: {_config_to_json(traj.config)}",
-        f"weights: {_weights_to_json(traj.weights)}",
+        f"config: {_header_json(traj.config, _CONFIG_FIELDS)}",
+        f"weights: {_header_json(traj.weights, _WEIGHT_FIELDS)}",
         f"layout: {json.dumps(traj.layout)}",
         f"joint_dim: {traj.q.shape[1]}",
         f"action_dim: {traj.actions.shape[1]}",
@@ -264,8 +272,10 @@ def read(path) -> Trajectory:
         joint_dim = int(fields["joint_dim"])
         action_dim = int(fields["action_dim"])
         obs_dim = int(fields["obs_dim"])
-        config = _config_from_json(fields["config"])
-        weights = _weights_from_json(fields["weights"])
+        config = _from_header_json(EpisodeConfig, "config", fields["config"],
+                                   _CONFIG_FIELDS)
+        weights = _from_header_json(RewardWeights, "weights", fields["weights"],
+                                    _WEIGHT_FIELDS)
         layout = json.loads(fields["layout"])
     except (KeyError, ValueError, TypeError) as exc:
         raise MalformedTrajectory(f"malformed trajectory {path}: {exc}") from exc
@@ -323,31 +333,9 @@ def replay_trajectory(traj: Trajectory) -> None:
         if env.done:
             raise ReplayMismatch(f"episode ended early at step {i + 1}")
         obs, _, _, info = env.step(traj.actions[i], traj.weights)
-        recorded = {
-            "t": np.array([traj.t[i]]),
-            "q": traj.q[i],
-            "qdot": traj.qdot[i],
-            "qddot": traj.qddot[i],
-            "wrist": traj.wrist[i],
-            "grasp": traj.grasp[i],
-            "f_g": np.array([traj.f_g[i]]),
-            "reward_terms": traj.reward_terms[i],
-            "observations": traj.observations[i],
-        }
-        actual = {
-            "t": np.array([float(env.t)]),
-            "q": env.robot.q,
-            "qdot": env.robot.qdot,
-            "qddot": env.robot.qddot,
-            "wrist": np.concatenate([env.robot.wrist_pose.translation,
-                                     env.robot.wrist_pose.rotation]),
-            "grasp": np.asarray(info["grasp_point"]),
-            "f_g": np.array([1.0 if info["f_g"] else 0.0]),
-            "reward_terms": info["terms"].as_array(),
-            "observations": obs.values,
-        }
-        for name in actual:
-            if not np.array_equal(recorded[name], actual[name]):
+        actual = _frame_row(env, traj.actions[i], obs, info)
+        for name in _ARRAY_FIELDS:
+            if not np.array_equal(getattr(traj, name)[i], actual[name]):
                 raise ReplayMismatch(
                     f"replay mismatch at step {i + 1}, field {name!r}")
     if not env.success:

@@ -3,9 +3,11 @@
 Reset places the object so its grasp point starts at x = y = 0 facing -y
 (tabletop families get a sampled height), then places the robot base in
 front of it, facing the grasp point, with sampled positional offsets and a
-yaw perturbation. Stepping advances the robot, recomputes the grasp flag,
-attaches/follows/detaches the object kinematically, and pays the shaped
-reward from the post-step state.
+yaw perturbation. Stepping advances the robot, attaches/follows/detaches
+the object kinematically, and pays the shaped reward from the post-step
+state. The env owns the current grasp point (`Env.grasp`, moved only while
+the object is held) and takes the grasp flag from the reward's terms; attach
+and success use the reward module's fixed thresholds.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, episode, stream), so episodes are bit-reproducible regardless of
@@ -14,14 +16,16 @@ execution order or worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import observation as obs_mod
 from .geometry import Transform, point_distance, vec3
 from .reward import (
+    GRASP_THRESHOLD,
+    SUCCESS_THRESHOLD,
     RewardSnapshot,
-    RewardTerms,
     RewardWeights,
     mean_hand_distance,
     total_reward,
@@ -78,9 +82,10 @@ class EpisodeConfig:
     object_height_range: tuple = (0.2, 0.7)
     open_init_angle: float = np.deg2rad(10.0)
     close_init_range: tuple = (0.4, 0.8)
-    grasp_threshold: float = 0.1
-    success_threshold: float = 0.05
     fixed_base: bool = False
+    # read-only views of the reward module's constants, not fields
+    grasp_threshold: ClassVar[float] = GRASP_THRESHOLD
+    success_threshold: ClassVar[float] = SUCCESS_THRESHOLD
 
     def __post_init__(self):
         assert self.max_steps >= 1 and self.dt > 0
@@ -152,8 +157,8 @@ class Env:
         dx = float(rng_base.uniform(lo, hi)) * (1.0 if rng_base.uniform() < 0.5 else -1.0)
         dy = -float(rng_base.uniform(lo, hi))
         yaw_perturb = float(rng_base.uniform(-config.yaw_range, config.yaw_range))
-        grasp0 = grasp_point(placed, self.object_state)
-        heading = np.array([grasp0[0] - dx, grasp0[1] - dy])
+        self.grasp = grasp_point(placed, self.object_state)
+        heading = np.array([self.grasp[0] - dx, self.grasp[1] - dy])
         heading = heading / np.linalg.norm(heading)
         yaw = float(np.arctan2(-heading[0], heading[1])) + yaw_perturb
         anchor = Transform(vec3(dx, dy, 0.0), vec3(0.0, 0.0, yaw))
@@ -199,19 +204,15 @@ class Env:
         tips = self.frames.hand_positions
         obj = self.task.object
 
-        # Grasp flag drives attachment: attach on rise, follow while held,
-        # detach when the hand drifts beyond the threshold (no latch).
+        # Attach when the hand reaches the grasp point, follow while held,
+        # detach when the post-step grasp flag drops (no latch). Only a held
+        # object moves, so only then does the grasp point change.
         state = self.object_state
-        d_pre = mean_hand_distance(tips, grasp_point(obj, state))
-        if d_pre < self.config.grasp_threshold and not state.attached:
+        if not state.attached and mean_hand_distance(tips, self.grasp) < GRASP_THRESHOLD:
             state = attach(obj, state, palm)
         if state.attached:
             state = object_follow(obj, state, palm)
-        grasp_now = grasp_point(obj, state)
-        f_g = mean_hand_distance(tips, grasp_now) < self.config.grasp_threshold
-        if state.attached and not f_g:
-            state = detach(state)
-        self.object_state = state
+            self.grasp = grasp_point(obj, state)
 
         terms = total_reward(
             RewardSnapshot(
@@ -220,13 +221,17 @@ class Env:
                 palm_rotation=palm.rotation,
                 palm_rotation_init=self.palm_rotation_init,
                 effector_init=self.effector_init,
-                grasp_point=grasp_now,
+                grasp_point=self.grasp,
                 goal_point=self.task.goal_point,
             ),
             action.to_vector(), weights)
+        f_g = terms.f_g
+        if state.attached and not f_g:
+            state = detach(state)  # moves neither the hand nor the grasp point
+        self.object_state = state
 
-        goal_distance = point_distance(grasp_now, self.task.goal_point)
-        success_now = goal_distance < self.config.success_threshold
+        goal_distance = point_distance(self.grasp, self.task.goal_point)
+        success_now = goal_distance < SUCCESS_THRESHOLD
         if obj.kind == FREE:
             success_now = success_now and f_g  # unattached free objects can't count
         self.t += 1
@@ -237,7 +242,7 @@ class Env:
         info = {
             "terms": terms,
             "f_g": f_g,
-            "grasp_point": grasp_now,
+            "grasp_point": self.grasp,
             "goal_distance": goal_distance,
             "success": success_now,
             "ik_warning": self.robot.ik_warning,

@@ -76,6 +76,14 @@ class ObservationLayout:
         )
 
 
+def check_policy_obs_dim(policy, spec: RobotSpec) -> None:
+    """ValueError unless a policy with an `obs_dim` reads this robot's width."""
+    obs_dim = ObservationLayout.for_robot(spec).total
+    if getattr(policy, "obs_dim", obs_dim) != obs_dim:
+        raise ValueError(
+            f"policy expects obs dim {policy.obs_dim}, robot {spec.name} produces {obs_dim}")
+
+
 @dataclass
 class Observation:
     values: np.ndarray
@@ -153,16 +161,13 @@ def assemble(layout: ObservationLayout, *, t: int, max_steps: int, dt: float,
 
 def build_observation(env: "Env") -> Observation:
     """Observation for the environment's current state."""
-    from .world import grasp_point  # local to avoid import cycle at module load
-
-    obj = env.task.object
     return assemble(
         env.layout,
         t=env.t,
         max_steps=env.config.max_steps,
         dt=env.config.dt,
-        grasp=grasp_point(obj, env.object_state),
-        movable_rotation=movable_frame(obj, env.object_state).rotation,
+        grasp=env.grasp,
+        movable_rotation=movable_frame(env.task.object, env.object_state).rotation,
         goal=env.task.goal_point,
         frames=env.frames,
         prev_frames=env.prev_frames,

@@ -6,9 +6,11 @@ The per-step reward is
 
 where r_d penalizes mean hand-point-to-grasp and grasp-to-goal Chamfer
 distances, f_g indicates the hand is on the grasp point (mean distance below
-0.1 m), r_a supervises a reference approach action before the grasp, and
-r_g / r_m / r_s pay a grasp bonus, supervise the move toward the goal, and
-pay a success bonus (grasp point within 0.05 m of the goal) after it.
+GRASP_THRESHOLD), r_a supervises a reference approach action before the
+grasp, and r_g / r_m / r_s pay a grasp bonus, supervise the move toward the
+goal, and pay a success bonus (grasp point within SUCCESS_THRESHOLD of the
+goal) after it. The thresholds are fixed constants, not settings; the env
+attaches and succeeds by the same ones and takes its flag from `f_g`.
 
 All terms are computed unconditionally; only `total` applies the gate, so the
 algebraic identity above holds exactly for every snapshot.
@@ -16,6 +18,7 @@ algebraic identity above holds exactly for every snapshot.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,6 +28,9 @@ from .geometry import (
     rotvec_difference,
 )
 
+GRASP_THRESHOLD = 0.1     # m, mean hand-point distance for the grasp flag
+SUCCESS_THRESHOLD = 0.05  # m, grasp-to-goal distance for success
+
 
 @dataclass(frozen=True)
 class RewardWeights:
@@ -33,12 +39,12 @@ class RewardWeights:
     grasp: float = 1.0         # omega_g
     move: float = 0.2          # omega_m
     success: float = 2.0       # omega_s
-    grasp_threshold: float = 0.1     # m, mean hand-point distance for the flag
-    success_threshold: float = 0.05  # m, grasp-to-goal distance for success
+    # read-only views of the module constants, not fields
+    grasp_threshold: ClassVar[float] = GRASP_THRESHOLD
+    success_threshold: ClassVar[float] = SUCCESS_THRESHOLD
 
     def __post_init__(self):
         assert min(self.distance, self.approach, self.grasp, self.move, self.success) >= 0
-        assert self.grasp_threshold > 0 and self.success_threshold > 0
 
 
 @dataclass
@@ -133,7 +139,7 @@ def total_reward(snapshot: RewardSnapshot, action: np.ndarray,
     action = np.asarray(action, dtype=np.float64)
     # grasp_flag and reward_distance, sharing one mean hand distance
     hand_distance = mean_hand_distance(snapshot.hand_points, snapshot.grasp_point)
-    f_g = hand_distance < weights.grasp_threshold
+    f_g = hand_distance < GRASP_THRESHOLD
     r_d = -weights.distance * (hand_distance
                                + point_distance(snapshot.goal_point, snapshot.grasp_point))
     ref_a = reference_approach_action(
@@ -144,7 +150,7 @@ def total_reward(snapshot: RewardSnapshot, action: np.ndarray,
     r_m = reward_move(action, snapshot.palm_position, snapshot.goal_point,
                       weights.move)
     r_s = reward_success(snapshot.grasp_point, snapshot.goal_point,
-                         weights.success_threshold, weights.success)
+                         SUCCESS_THRESHOLD, weights.success)
     gate = 1.0 if f_g else 0.0
     total = r_d + (1.0 - gate) * r_a + gate * (r_g + r_m + r_s)
     return RewardTerms(r_d=r_d, r_a=r_a, r_g=r_g, r_m=r_m, r_s=r_s,

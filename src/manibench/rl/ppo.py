@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..env import Env, EpisodeConfig, STREAM_ACTION, episode_rng
-from ..observation import ObservationLayout
+from ..observation import ObservationLayout, check_policy_obs_dim
 from ..reward import RewardWeights
 from ..robot import RobotSpec
 from ..world import TaskSpec
@@ -582,11 +582,7 @@ def evaluate(policy, task: TaskSpec, robot_spec: RobotSpec,
     """Deterministic policy (action = clamped mean) over n seeded episodes."""
     if n_episodes <= 0:
         raise ValueError("no episodes")
-    obs_dim = ObservationLayout.for_robot(robot_spec).total
-    policy_obs_dim = getattr(policy, "obs_dim", None)
-    if policy_obs_dim is not None and policy_obs_dim != obs_dim:
-        raise ValueError(
-            f"policy expects obs dim {policy_obs_dim}, robot produces {obs_dim}")
+    check_policy_obs_dim(policy, robot_spec)
     weights = weights or RewardWeights()
     env = Env(episode_config, task, robot_spec)
     records = []

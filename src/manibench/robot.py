@@ -31,10 +31,6 @@ from .geometry import (
     vec3,
 )
 
-_EZ = np.array([0.0, 0.0, 1.0])
-_EY = np.array([0.0, 1.0, 0.0])
-
-
 class IkNotConverged(RuntimeError):
     """Raised when DLS leaves a position residual above 1e-3 m.
 

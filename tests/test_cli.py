@@ -133,3 +133,90 @@ def test_eval_checkpoint_of_unknown_robot_exits_one(tmp_path, capsys):
     assert code == 1
     assert "no-such-bot" in err
     assert "success_rate" not in out
+
+
+# ---------------------------------------------------------------------------
+# boundary failures: loud, with exit codes
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def lid_file(tmp_path_factory):
+    from manibench import dataset as ds
+    from manibench.control import ScriptedController
+    from manibench.env import EpisodeConfig
+    from manibench.robot import gripper_bot
+    from manibench.world import make_task
+
+    traj = ds.record_rollout(ScriptedController(), make_task("laptop", "open"),
+                             gripper_bot(), EpisodeConfig(seed=40), seed=40)
+    path = tmp_path_factory.mktemp("traj") / "lid.mmt"
+    ds.write(traj, path)
+    return path
+
+
+def test_config_threshold_key_exits_two(tmp_path, capsys):
+    cfg = _cfg(tmp_path, {"episode": {"grasp_threshold": 0.05}})
+    code, out, err = run_cli(capsys, "eval", "--episodes", "1", "--config", str(cfg))
+    assert code == 2
+    assert "grasp_threshold" in err
+    assert "success_rate" not in out
+
+
+def test_eval_truncated_checkpoint_exits_one(tmp_path, capsys):
+    from manibench import rl
+    from manibench.robot import gripper_bot
+
+    spec = gripper_bot()
+    policy, value_net = rl.build_nets(spec, rl.PPOConfig(seed=0))
+    ck = tmp_path / "ck.mmrl"
+    rl.save_checkpoint(ck, policy, value_net, spec.name, spec.dof_effector)
+    ck.write_bytes(ck.read_bytes()[:1000])
+    code, out, err = run_cli(capsys, "eval", "--episodes", "1",
+                             "--config", str(_cfg(tmp_path, {"policy": str(ck)})))
+    assert code == 1
+    assert str(ck) in err and "byte offset" in err
+    assert "success_rate" not in out
+
+
+def test_gen_data_checkpoint_of_other_robot_exits_one(tmp_path, capsys):
+    from manibench import rl
+    from manibench.robot import hand_bot
+
+    spec = hand_bot()
+    policy, value_net = rl.build_nets(spec, rl.PPOConfig(seed=0))
+    ck = tmp_path / "hand.mmrl"
+    rl.save_checkpoint(ck, policy, value_net, spec.name, spec.dof_effector)
+    code, out, err = run_cli(capsys, "gen-data", "--robot", "gripper-bot",
+                             "--out", str(tmp_path / "data"),
+                             "--config", str(_cfg(tmp_path, {"policy": str(ck),
+                                                              "trajectories": 1})))
+    assert code == 1
+    assert "policy expects obs dim 223" in err and "produces 146" in err
+    assert "recorded=" not in out
+
+
+def _threshold_hex(value):
+    return f'"grasp_threshold": {{"hex": "{value.hex()}"}}'.encode()
+
+
+_MMT_EDITS = {
+    "truncated": (lambda data: data[:-100], "byte offset"),
+    "frames_not_integer": (lambda data: data.replace(b"\nframes: ", b"\nframes: x", 1),
+                           "invalid literal for int()"),
+    "grasp_threshold_edited": (
+        lambda data: data.replace(_threshold_hex(0.1), _threshold_hex(0.05), 1),
+        "'grasp_threshold'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MMT_EDITS))
+def test_replay_malformed_trajectory_exits_one(tmp_path, capsys, lid_file, case):
+    edit, detail = _MMT_EDITS[case]
+    data = lid_file.read_bytes()
+    path = tmp_path / "broken.mmt"
+    path.write_bytes(edit(data))
+    assert path.read_bytes() != data
+    code, out, err = run_cli(capsys, "replay", str(path))
+    assert code == 1
+    assert "malformed trajectory" in err and detail in err
+    assert "replay_ok" not in out

@@ -82,3 +82,9 @@ def test_apply_overrides():
 def test_apply_overrides_none_is_noop():
     cfg = parse_config('{"seed": 3}')
     assert apply_overrides(cfg, seed=None, out=None) == cfg
+
+
+@pytest.mark.parametrize("key", ["grasp_threshold", "success_threshold"])
+def test_fixed_thresholds_are_not_config_keys(key):
+    with pytest.raises(ConfigError, match=f"unknown key episode.'{key}'"):
+        parse_config(f'{{"episode": {{"{key}": 0.05}}}}')

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -131,10 +133,40 @@ def test_flipped_magic_errors(tmp_path, lid_trajectory):
 
 def test_replay_detects_tampered_action(lid_trajectory):
     import copy
-    tampered = copy.deepcopy(lid_trajectory)
-    tampered.actions[3, 0] += 0.01
-    with pytest.raises(ds.ReplayMismatch):
-        ds.replay_trajectory(tampered)
+    # a tampered action first shows in the joints it drives; a tampered
+    # state column is caught in that column
+    for column, first_field in (("actions", "q"), ("object_state", "object_state"),
+                                ("goal", "goal")):
+        tampered = copy.deepcopy(lid_trajectory)
+        getattr(tampered, column)[3, 0] += 0.01
+        with pytest.raises(ds.ReplayMismatch, match=f"step 4, field '{first_field}'"):
+            ds.replay_trajectory(tampered)
+
+
+def edit_header_line(path, line, key, value):
+    """Rewrite one key of a JSON header line ('config' or 'weights')."""
+    head, marker, payload = path.read_bytes().partition(b"\nEND_HEADER\n")
+    lines = head.decode("utf-8").split("\n")
+    for k, text in enumerate(lines):
+        name, _, body = text.partition(": ")
+        if name == line:
+            raw = json.loads(body)
+            raw[key] = value
+            lines[k] = f"{name}: {json.dumps(raw)}"
+    path.write_bytes("\n".join(lines).encode("utf-8") + marker + payload)
+
+
+@pytest.mark.parametrize("line,key", [("config", "grasp_threshold"),
+                                      ("config", "success_threshold"),
+                                      ("weights", "grasp_threshold"),
+                                      ("weights", "success_threshold")])
+def test_header_threshold_other_than_fixed_is_malformed(tmp_path, lid_trajectory,
+                                                        line, key):
+    path = tmp_path / "a.mmt"
+    ds.write(lid_trajectory, path)
+    edit_header_line(path, line, key, {"hex": (0.075).hex()})
+    with pytest.raises(ds.MalformedTrajectory, match=f"{line} field '{key}'"):
+        ds.read(path)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,13 @@ from manibench import geometry as geo
 from manibench import world as w
 from manibench.control import ScriptedController, run_scripted_episode
 from manibench.env import Env, EpisodeConfig, EpisodeFinished, episode_rng
-from manibench.reward import RewardWeights, mean_hand_distance
-from manibench.robot import _wrist_chain, gripper_bot, hand_bot
+from manibench.reward import (
+    GRASP_THRESHOLD,
+    SUCCESS_THRESHOLD,
+    RewardWeights,
+    mean_hand_distance,
+)
+from manibench.robot import _wrist_chain, gripper_bot, hand_bot, make_robot
 
 
 def make_env(object_name="laptop", skill="open", robot=None, **cfg):
@@ -270,3 +275,58 @@ def test_stored_chain_and_rotations_match_fresh_computation(robot):
             np.testing.assert_array_equal(
                 frame.rotation, geo.matrix_to_rotvec(frame.rotation_matrix))
     assert env.success and steps > 10
+
+
+# ---------------------------------------------------------------------------
+# one owner per step fact
+# ---------------------------------------------------------------------------
+
+def test_thresholds_are_fixed_not_config_fields():
+    for name in ("grasp_threshold", "success_threshold"):
+        with pytest.raises(TypeError, match=name):
+            EpisodeConfig(**{name: 0.05})
+    config = EpisodeConfig()
+    assert (config.grasp_threshold, config.success_threshold) == (
+        GRASP_THRESHOLD, SUCCESS_THRESHOLD) == (0.1, 0.05)
+
+
+_CELLS = [(robot, name, skill) for robot in ("gripper-bot", "hand-bot")
+          for name, skills in w.OBJECT_SKILLS.items() for skill in skills]
+
+
+@pytest.mark.parametrize("robot,name,skill", _CELLS)
+def test_step_facts_agree_in_every_cell(robot, name, skill):
+    env = Env(EpisodeConfig(seed=0), w.make_task(name, skill), make_robot(robot))
+    obs = env.reset(0)
+    start = obs.layout.slices()["object_state"].start
+    grasp_slot = slice(start, start + 3)
+    np.testing.assert_array_equal(obs.values[grasp_slot], env.grasp)
+    controller = ScriptedController()
+    while not env.done:
+        obs, _, _, info = env.step(controller.action_for(env))
+        assert info["f_g"] == info["terms"].f_g
+        np.testing.assert_array_equal(obs.values[grasp_slot], info["grasp_point"])
+        # the kept grasp point is the one the post-step state yields
+        np.testing.assert_array_equal(
+            info["grasp_point"], w.grasp_point(env.task.object, env.object_state))
+    assert env.success
+
+
+def test_detach_keeps_grasp_point():
+    env = make_env("laptop", "open", seed=0)
+    env.reset(0)
+    controller = ScriptedController()
+    while not env.object_state.attached:
+        env.step(controller.action_for(env))
+    lift = np.zeros(7)
+    lift[2] = 0.3  # the lid stops at its joint limit and the hand leaves it
+    held = True
+    while held:
+        _, _, _, info = env.step(lift)
+        held = info["attached"]
+    assert not info["f_g"] and not info["terms"].f_g
+    grasp = info["grasp_point"]
+    np.testing.assert_array_equal(grasp, w.grasp_point(env.task.object, env.object_state))
+    _, _, _, info = env.step(lift)
+    np.testing.assert_array_equal(info["grasp_point"], grasp)
+    assert not info["attached"]

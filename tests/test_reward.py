@@ -237,3 +237,12 @@ def test_total_translation_equivariance():
         t1 = rw.total_reward(shifted, a, W)
         assert t1.total == pytest.approx(t0.total, abs=1e-9)
         assert t1.f_g == t0.f_g
+
+
+def test_thresholds_are_fixed_not_weight_fields():
+    for name in ("grasp_threshold", "success_threshold"):
+        with pytest.raises(TypeError, match=name):
+            rw.RewardWeights(**{name: 0.2})
+    weights = rw.RewardWeights()
+    assert weights.grasp_threshold == rw.GRASP_THRESHOLD == 0.1
+    assert weights.success_threshold == rw.SUCCESS_THRESHOLD == 0.05
