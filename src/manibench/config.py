@@ -87,6 +87,21 @@ def _apply_section(section_name: str, raw: dict, default_obj):
     return replace(default_obj, **updates)
 
 
+# top-level keys that flow into the nested sections of the same name
+_PUSHED = {"episode": ("seed", "fixed_base"), "ppo": ("seed", "workers")}
+
+
+def _push_down(cfg: RunConfig, keys, raw: dict | None = None) -> RunConfig:
+    """Copy the top-level values of `keys` into the sections that share
+    them, except where the section in the raw document set its own."""
+    for section, names in _PUSHED.items():
+        own = (raw or {}).get(section) or {}
+        pushed = {k: getattr(cfg, k) for k in names if k in keys and k not in own}
+        if pushed:
+            setattr(cfg, section, replace(getattr(cfg, section), **pushed))
+    return cfg
+
+
 def parse_config(text: str) -> RunConfig:
     """Strict single-document parse; defaults fill absent keys."""
     if not text.strip():
@@ -115,25 +130,7 @@ def parse_config(text: str) -> RunConfig:
         else:
             raise ConfigError(f"unknown key {key!r}")
     cfg = dataclasses.replace(cfg, **updates)
-    # top-level seed/fixed_base/workers flow into the nested configs unless
-    # the section overrode them explicitly
-    episode_raw = raw.get("episode", {}) or {}
-    ppo_raw = raw.get("ppo", {}) or {}
-    episode_updates = {}
-    if "seed" not in episode_raw:
-        episode_updates["seed"] = cfg.seed
-    if "fixed_base" not in episode_raw:
-        episode_updates["fixed_base"] = cfg.fixed_base
-    if episode_updates:
-        cfg.episode = replace(cfg.episode, **episode_updates)
-    ppo_updates = {}
-    if "seed" not in ppo_raw:
-        ppo_updates["seed"] = cfg.seed
-    if "workers" not in ppo_raw:
-        ppo_updates["workers"] = cfg.workers
-    if ppo_updates:
-        cfg.ppo = replace(cfg.ppo, **ppo_updates)
-    return cfg.validate()
+    return _push_down(cfg, scalar_defaults.keys(), raw).validate()
 
 
 def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:
@@ -141,18 +138,4 @@ def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:
     updates = {k: v for k, v in overrides.items() if v is not None}
     if not updates:
         return cfg
-    cfg = replace(cfg, **updates)
-    episode_updates = {}
-    ppo_updates = {}
-    if "seed" in updates:
-        episode_updates["seed"] = cfg.seed
-        ppo_updates["seed"] = cfg.seed
-    if "fixed_base" in updates:
-        episode_updates["fixed_base"] = cfg.fixed_base
-    if "workers" in updates:
-        ppo_updates["workers"] = cfg.workers
-    if episode_updates:
-        cfg.episode = replace(cfg.episode, **episode_updates)
-    if ppo_updates:
-        cfg.ppo = replace(cfg.ppo, **ppo_updates)
-    return cfg.validate()
+    return _push_down(replace(cfg, **updates), updates.keys()).validate()

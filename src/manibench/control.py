@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .env import run_episode
 from .geometry import rotvec_difference
 from .reward import reference_approach_action
 
 
 class ScriptedController:
     """Deterministic env-state policy; interchangeable with MLP policies
-    through the deterministic_action(obs, env) protocol."""
+    through the deterministic_action(obs, env) protocol, which is the `act`
+    that `env.run_episode`, the one episode loop, calls."""
 
     name = "scripted"
 
@@ -41,13 +43,11 @@ class ScriptedController:
 
 
 def run_scripted_episode(env, episode: int, weights=None) -> dict:
-    """Roll one scripted episode; returns summary stats (used by tests/harness)."""
-    controller = ScriptedController()
-    env.reset(episode)
-    steps = 0
-    flagged_at = None
-    while not env.done:
-        _, _, _, info = env.step(controller.action_for(env), weights)
+    """Roll one scripted episode through `run_episode`; returns summary stats
+    (used by tests/harness)."""
+    steps, flagged_at = 0, None
+    for _, _, info in run_episode(env, ScriptedController().deterministic_action,
+                                  episode, weights):
         steps += 1
         if flagged_at is None and info["f_g"]:
             flagged_at = steps

@@ -11,7 +11,9 @@ field order:
 
 Stored states are post-action snapshots indexed from 1; the reward in a block
 is recomputable from that same block's state and action. The header records
-the fixed grasp/success thresholds; a file with other values is malformed.
+the fixed grasp/success thresholds and control step `dt`; a file with other
+values is malformed. Recording and replay both step the env through
+`env.run_episode`, the one episode loop.
 Only successful episodes are stored. Images are not recorded; the header marks
 "sensors: none" for forward compatibility.
 """
@@ -24,16 +26,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import Env, EpisodeConfig
+from .env import Env, EpisodeConfig, run_episode
 from .observation import ObservationLayout, check_policy_obs_dim
 from .reward import GRASP_THRESHOLD, SUCCESS_THRESHOLD, RewardWeights
-from .robot import RobotSpec, make_robot
+from .robot import DT, FRAME_RATE, RobotSpec, make_robot
 from .world import TaskSpec, make_task
 
 MAGIC_LINE = "MMTRAJ 1"
 TRAJ_SUFFIX = ".mmt"
 MANIFEST_NAME = "manifest.json"
-FRAME_RATE = 30.0
 
 
 class MalformedTrajectory(ValueError):
@@ -143,12 +144,8 @@ def record_rollout(policy, task: TaskSpec, robot_spec: RobotSpec,
     for attempt in range(retries + 1):
         config = replace(episode_config, seed=seed + attempt)
         env = Env(config, task, robot_spec)
-        obs = env.reset(0)
         rows = {name: [] for name in _ARRAY_FIELDS}
-        while not env.done:
-            action = np.asarray(policy.deterministic_action(obs.values, env),
-                                dtype=np.float64)
-            obs, _, _, info = env.step(action, weights)
+        for action, obs, info in run_episode(env, policy.deterministic_action, 0, weights):
             for name, value in _frame_row(env, action, obs, info).items():
                 rows[name].append(value)
         if not env.success:
@@ -195,25 +192,26 @@ _CONFIG_FIELDS = ("seed", "max_steps", "dt", "base_offset_range", "yaw_range",
                   "grasp_threshold", "success_threshold", "fixed_base")
 _WEIGHT_FIELDS = ("distance", "approach", "grasp", "move", "success",
                   "grasp_threshold", "success_threshold")
-# recorded in both header lines, fixed in the code
-_FIXED_THRESHOLDS = {"grasp_threshold": GRASP_THRESHOLD,
-                     "success_threshold": SUCCESS_THRESHOLD}
+# recorded in the header lines, fixed in the code
+_FIXED = {"dt": DT, "grasp_threshold": GRASP_THRESHOLD,
+          "success_threshold": SUCCESS_THRESHOLD}
 
 
 def _header_json(obj, names) -> str:
-    return json.dumps({k: _enc(getattr(obj, k)) for k in names})
+    return json.dumps({k: _enc(_FIXED[k] if k in _FIXED else getattr(obj, k))
+                       for k in names})
 
 
 def _from_header_json(cls, line: str, text: str, names):
-    """Rebuild a config dataclass from its header line; the thresholds it
-    records must be the fixed ones."""
+    """Rebuild a config dataclass from its header line; the fixed values it
+    records must be the code's."""
     raw = json.loads(text)
     values = {k: _dec(raw[k]) for k in names}
-    for name, fixed in _FIXED_THRESHOLDS.items():
+    for name in _FIXED.keys() & values.keys():
         value = values.pop(name)
-        if value != fixed:
+        if value != _FIXED[name]:
             raise MalformedTrajectory(
-                f"{line} field {name!r} is {value!r}, but the threshold is fixed at {fixed!r}")
+                f"{line} field {name!r} is {value!r}, but it is fixed at {_FIXED[name]!r}")
     return cls(**values)
 
 
@@ -328,16 +326,18 @@ def replay_trajectory(traj: Trajectory) -> None:
     """
     env = Env(traj.config, make_task(traj.object_name, traj.skill),
               make_robot(traj.robot))
-    obs = env.reset(traj.episode)
-    for i in range(traj.length):
-        if env.done:
-            raise ReplayMismatch(f"episode ended early at step {i + 1}")
-        obs, _, _, info = env.step(traj.actions[i], traj.weights)
-        actual = _frame_row(env, traj.actions[i], obs, info)
+    steps = run_episode(env, lambda obs, env: traj.actions[env.t], traj.episode,
+                        traj.weights)
+    replayed = 0
+    for i, (action, obs, info) in zip(range(traj.length), steps):
+        actual = _frame_row(env, action, obs, info)
         for name in _ARRAY_FIELDS:
             if not np.array_equal(getattr(traj, name)[i], actual[name]):
                 raise ReplayMismatch(
                     f"replay mismatch at step {i + 1}, field {name!r}")
+        replayed += 1
+    if replayed < traj.length:
+        raise ReplayMismatch(f"episode ended early at step {replayed + 1}")
     if not env.success:
         raise ReplayMismatch("replayed episode did not succeed")
 

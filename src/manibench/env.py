@@ -9,6 +9,13 @@ state. The env owns the current grasp point (`Env.grasp`, moved only while
 the object is held) and takes the grasp flag from the reward's terms; attach
 and success use the reward module's fixed thresholds.
 
+The action is the float64 (6+D) vector [d_pos(3), d_rot(3), effector(D)]
+from the policy through the robot and the reward to the recorded file. One
+control step lasts `robot.DT` = 1 / `robot.FRAME_RATE`, fixed, not a setting.
+`run_episode` is the one episode loop: evaluation, recording, replay and the
+scripted runner all step an `Env` through it (PPO's lockstep auto-resetting
+slots step `Env.step` directly).
+
 All randomness flows through counter-based Philox streams keyed by
 (seed, episode, stream), so episodes are bit-reproducible regardless of
 execution order or worker count.
@@ -31,7 +38,6 @@ from .reward import (
     total_reward,
 )
 from .robot import (
-    Action,
     RobotSpec,
     apply_action_with_chain,
     forward_kinematics,
@@ -76,7 +82,6 @@ def episode_rng(seed: int, episode: int, stream: int) -> np.random.Generator:
 class EpisodeConfig:
     seed: int = 0
     max_steps: int = 300
-    dt: float = 1.0 / 30.0
     base_offset_range: tuple | None = None   # None: (1.0,1.5), fixed-base (0.5,1.0)
     yaw_range: float = np.deg2rad(15.0)
     object_height_range: tuple = (0.2, 0.7)
@@ -88,7 +93,7 @@ class EpisodeConfig:
     success_threshold: ClassVar[float] = SUCCESS_THRESHOLD
 
     def __post_init__(self):
-        assert self.max_steps >= 1 and self.dt > 0
+        assert self.max_steps >= 1
         for rng in (self.base_offset_range, self.object_height_range, self.close_init_range):
             if rng is not None:
                 assert rng[0] <= rng[1]
@@ -190,13 +195,13 @@ class Env:
         if self.done:
             raise EpisodeFinished("episode finished")
         weights = weights or RewardWeights()
-        if not isinstance(action, Action):
-            action = Action.from_vector(np.asarray(action, dtype=np.float64),
-                                        self.robot_spec.dof_effector)
+        action = np.asarray(action, dtype=np.float64)
+        if action.shape != (self.robot_spec.action_dim,):
+            raise ValueError(f"action must have shape ({self.robot_spec.action_dim},), "
+                             f"got {action.shape}")
 
         self.robot, chain = apply_action_with_chain(
-            self.robot_spec, self.robot, action, self.config.dt,
-            fixed_base=self.config.fixed_base)
+            self.robot_spec, self.robot, action, fixed_base=self.config.fixed_base)
         self.prev_frames = self.frames
         self.frames = forward_kinematics(self.robot_spec, self.robot.q,
                                          self.robot.base_anchor, _chain=chain)
@@ -224,7 +229,7 @@ class Env:
                 grasp_point=self.grasp,
                 goal_point=self.task.goal_point,
             ),
-            action.to_vector(), weights)
+            action, weights)
         f_g = terms.f_g
         if state.attached and not f_g:
             state = detach(state)  # moves neither the hand nor the grasp point
@@ -249,3 +254,14 @@ class Env:
             "attached": state.attached,
         }
         return obs_mod.build_observation(self), terms.total, self.done, info
+
+
+def run_episode(env: Env, act, episode: int, weights: RewardWeights | None = None):
+    """The one episode loop: reset `env` to `episode`, then step it with
+    `act(obs_values, env)` until the episode is done, yielding
+    (action, obs, info) after every step."""
+    obs = env.reset(episode)
+    while not env.done:
+        action = np.asarray(act(obs.values, env), dtype=np.float64)
+        obs, _, _, info = env.step(action, weights)
+        yield action, obs, info

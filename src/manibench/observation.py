@@ -29,7 +29,7 @@ from .geometry import (
     point_distance,
     points_to_point_distances,
 )
-from .robot import KinematicFrames, RobotSpec
+from .robot import DT, KinematicFrames, RobotSpec
 from .world import movable_frame
 
 if TYPE_CHECKING:
@@ -165,7 +165,7 @@ def build_observation(env: "Env") -> Observation:
         env.layout,
         t=env.t,
         max_steps=env.config.max_steps,
-        dt=env.config.dt,
+        dt=DT,
         grasp=env.grasp,
         movable_rotation=movable_frame(env.task.object, env.object_state).rotation,
         goal=env.task.goal_point,

@@ -82,19 +82,6 @@ def mean_hand_distance(hand_points: np.ndarray, grasp: np.ndarray) -> float:
     return float(points_to_point_distances(hand_points, grasp).mean())
 
 
-def grasp_flag(hand_points: np.ndarray, grasp: np.ndarray,
-               grasp_threshold: float) -> bool:
-    """Indicator: mean hand-point-to-grasp-point distance strictly below threshold."""
-    return mean_hand_distance(hand_points, grasp) < grasp_threshold
-
-
-def reward_distance(hand_points: np.ndarray, grasp: np.ndarray,
-                    goal: np.ndarray, weight: float) -> float:
-    """-w * (mean_i CD(hand_i, grasp) + CD(goal, grasp))."""
-    return -weight * (mean_hand_distance(hand_points, grasp)
-                      + point_distance(goal, grasp))
-
-
 def reference_approach_action(palm_position: np.ndarray, palm_rotation: np.ndarray,
                               palm_rotation_init: np.ndarray, grasp: np.ndarray,
                               effector_init: np.ndarray) -> np.ndarray:
@@ -127,17 +114,16 @@ def reward_move(action: np.ndarray, palm_position: np.ndarray, goal: np.ndarray,
     return -weight * float(np.linalg.norm(action[0:3] - (goal - palm_position)))
 
 
-def reward_success(grasp: np.ndarray, goal: np.ndarray, success_threshold: float,
-                   weight: float) -> float:
-    """w * 1[|goal - grasp| < threshold], strict inequality."""
-    return weight if point_distance(goal, grasp) < success_threshold else 0.0
+def reward_success(grasp: np.ndarray, goal: np.ndarray, weight: float) -> float:
+    """w * 1[|goal - grasp| < SUCCESS_THRESHOLD], strict inequality."""
+    return weight if point_distance(goal, grasp) < SUCCESS_THRESHOLD else 0.0
 
 
 def total_reward(snapshot: RewardSnapshot, action: np.ndarray,
                  weights: RewardWeights) -> RewardTerms:
     """Compose every term and apply the grasp-flag gate."""
     action = np.asarray(action, dtype=np.float64)
-    # grasp_flag and reward_distance, sharing one mean hand distance
+    # the grasp flag and r_d share one mean hand distance
     hand_distance = mean_hand_distance(snapshot.hand_points, snapshot.grasp_point)
     f_g = hand_distance < GRASP_THRESHOLD
     r_d = -weights.distance * (hand_distance
@@ -149,8 +135,7 @@ def total_reward(snapshot: RewardSnapshot, action: np.ndarray,
     r_g = weights.grasp
     r_m = reward_move(action, snapshot.palm_position, snapshot.goal_point,
                       weights.move)
-    r_s = reward_success(snapshot.grasp_point, snapshot.goal_point,
-                         SUCCESS_THRESHOLD, weights.success)
+    r_s = reward_success(snapshot.grasp_point, snapshot.goal_point, weights.success)
     gate = 1.0 if f_g else 0.0
     total = r_d + (1.0 - gate) * r_a + gate * (r_g + r_m + r_s)
     return RewardTerms(r_d=r_d, r_a=r_a, r_g=r_g, r_m=r_m, r_s=r_s,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..env import Env, EpisodeConfig, STREAM_ACTION, episode_rng
+from ..env import Env, EpisodeConfig, STREAM_ACTION, episode_rng, run_episode
 from ..observation import ObservationLayout, check_policy_obs_dim
 from ..reward import RewardWeights
 from ..robot import RobotSpec
@@ -579,7 +579,8 @@ class EvalResult:
 def evaluate(policy, task: TaskSpec, robot_spec: RobotSpec,
              episode_config: EpisodeConfig, n_episodes: int,
              weights: RewardWeights | None = None) -> EvalResult:
-    """Deterministic policy (action = clamped mean) over n seeded episodes."""
+    """Deterministic policy (action = clamped mean) over n seeded episodes,
+    each stepped through `run_episode`."""
     if n_episodes <= 0:
         raise ValueError("no episodes")
     check_policy_obs_dim(policy, robot_spec)
@@ -587,12 +588,8 @@ def evaluate(policy, task: TaskSpec, robot_spec: RobotSpec,
     env = Env(episode_config, task, robot_spec)
     records = []
     for episode in range(n_episodes):
-        obs = env.reset(episode)
         steps = 0
-        info = {}
-        while not env.done:
-            action = policy.deterministic_action(obs.values, env)
-            obs, _, _, info = env.step(action, weights)
+        for _, _, info in run_episode(env, policy.deterministic_action, episode, weights):
             steps += 1
         records.append(EpisodeRecord(
             episode=episode, success=bool(env.success), steps=steps,

@@ -264,30 +264,11 @@ def make_robot(name: str) -> RobotSpec:
 
 
 # ---------------------------------------------------------------------------
-# State and actions
+# Control rate and state
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Action:
-    """Per-step command: wrist pose displacement + effector joint targets."""
-
-    d_pos: np.ndarray
-    d_rot: np.ndarray
-    effector: np.ndarray
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.d_pos, self.d_rot, self.effector]).astype(np.float64)
-
-    @staticmethod
-    def from_vector(vec: np.ndarray, dof_effector: int) -> "Action":
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (6 + dof_effector,):
-            raise ValueError(f"action must have {6 + dof_effector} entries, got {vec.shape}")
-        return Action(vec[0:3].copy(), vec[3:6].copy(), vec[6:].copy())
-
-    @staticmethod
-    def zero(dof_effector: int) -> "Action":
-        return Action(np.zeros(3), np.zeros(3), np.zeros(dof_effector))
+FRAME_RATE = 30.0       # Hz: control steps, and recorded frames, per second
+DT = 1.0 / FRAME_RATE   # s per control step; fixed, not a setting
 
 
 @dataclass
@@ -596,17 +577,14 @@ def clamp_norm(v: np.ndarray, limit: float) -> np.ndarray:
     return np.asarray(v, dtype=np.float64) * (limit / n)
 
 
-def apply_action_with_chain(spec: RobotSpec, state: RobotState, action: Action,
-                            dt: float, fixed_base: bool = False):
+def apply_action_with_chain(spec: RobotSpec, state: RobotState, action: np.ndarray,
+                            fixed_base: bool = False):
     """apply_action core; also returns the new wrist chain so callers can
     feed it straight into forward_kinematics without recomputing."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    d_pos = clamp_norm(action.d_pos, spec.pos_step_limit)
-    d_rot = clamp_norm(action.d_rot, spec.rot_step_limit)
+    d_pos = clamp_norm(action[0:3], spec.pos_step_limit)
+    d_rot = clamp_norm(action[3:6], spec.rot_step_limit)
     eff_lim = spec.effector_limits()
-    eff_target = np.clip(np.asarray(action.effector, dtype=np.float64),
-                         eff_lim[:, 0], eff_lim[:, 1])
+    eff_target = np.clip(action[6:], eff_lim[:, 0], eff_lim[:, 1])
 
     wrist = state.wrist_pose
     target = Transform.from_matrix(wrist.translation + d_pos,
@@ -624,12 +602,12 @@ def apply_action_with_chain(spec: RobotSpec, state: RobotState, action: Action,
     if fixed_base:
         targets[0:2] = state.q[0:2]
 
-    step_cap = spec.max_velocity * dt
+    step_cap = spec.max_velocity * DT
     q_new = state.q + np.clip(targets - state.q, -step_cap, step_cap)
     q_new = spec.clamp_q(q_new)
 
-    qdot_new = (q_new - state.q) / dt
-    qddot_new = (qdot_new - state.qdot) / dt
+    qdot_new = (q_new - state.q) / DT
+    qddot_new = (qdot_new - state.qdot) / DT
     chain = _wrist_chain(spec, q_new, state.base_anchor)
     new_state = RobotState(
         q=q_new,
@@ -644,16 +622,17 @@ def apply_action_with_chain(spec: RobotSpec, state: RobotState, action: Action,
     return new_state, chain
 
 
-def apply_action(spec: RobotSpec, state: RobotState, action: Action, dt: float,
+def apply_action(spec: RobotSpec, state: RobotState, action: np.ndarray,
                  fixed_base: bool = False) -> RobotState:
-    """Advance the robot one control step.
+    """Advance the robot one control step of DT.
 
+    The action is the float64 (6+D) vector [d_pos(3), d_rot(3), effector(D)].
     The wrist target is the current pose translated by the norm-clamped
     d_pos (world frame) and left-composed with the norm-clamped d_rot; IK
     yields the 9 base/arm targets and all joints move toward their targets
-    rate-limited by per-joint max velocity over dt. IK failure is non-fatal
+    rate-limited by per-joint max velocity over DT. IK failure is non-fatal
     and surfaces as ik_warning on the returned state.
     """
-    new_state, _ = apply_action_with_chain(spec, state, action, dt,
+    new_state, _ = apply_action_with_chain(spec, state, action,
                                            fixed_base=fixed_base)
     return new_state

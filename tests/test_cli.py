@@ -162,6 +162,15 @@ def test_config_threshold_key_exits_two(tmp_path, capsys):
     assert "success_rate" not in out
 
 
+def test_config_dt_key_exits_two(tmp_path, capsys):
+    cfg = _cfg(tmp_path, {"episode": {"dt": 0.02}})
+    code, out, err = run_cli(capsys, "gen-data", "--out", str(tmp_path / "data"),
+                             "--config", str(cfg))
+    assert code == 2
+    assert "'dt'" in err
+    assert not (tmp_path / "data").exists()
+
+
 def test_eval_truncated_checkpoint_exits_one(tmp_path, capsys):
     from manibench import rl
     from manibench.robot import gripper_bot

@@ -88,3 +88,8 @@ def test_apply_overrides_none_is_noop():
 def test_fixed_thresholds_are_not_config_keys(key):
     with pytest.raises(ConfigError, match=f"unknown key episode.'{key}'"):
         parse_config(f'{{"episode": {{"{key}": 0.05}}}}')
+
+
+def test_control_step_is_not_a_config_key():
+    with pytest.raises(ConfigError, match="unknown key episode.'dt'"):
+        parse_config('{"episode": {"dt": 0.02}}')

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -54,7 +55,7 @@ def test_recorded_flag_recomputable_from_states(lid_trajectory):
         obs = traj.observations[i]
         sl = layout.slices()["proprioception"]
         tips = obs[sl][12:12 + 9].reshape(3, 3)
-        flag = rw.grasp_flag(tips, traj.grasp[i], traj.config.grasp_threshold)
+        flag = rw.mean_hand_distance(tips, traj.grasp[i]) < rw.GRASP_THRESHOLD
         assert flag == bool(traj.f_g[i])
 
 
@@ -167,6 +168,41 @@ def test_header_threshold_other_than_fixed_is_malformed(tmp_path, lid_trajectory
     edit_header_line(path, line, key, {"hex": (0.075).hex()})
     with pytest.raises(ds.MalformedTrajectory, match=f"{line} field '{key}'"):
         ds.read(path)
+
+
+def test_header_dt_other_than_fixed_is_malformed(tmp_path, lid_trajectory):
+    path = tmp_path / "a.mmt"
+    ds.write(lid_trajectory, path)
+    header = path.read_bytes().split(b"\nEND_HEADER\n")[0].decode()
+    config_line = next(line for line in header.splitlines() if line.startswith("config: "))
+    assert json.loads(config_line[len("config: "):])["dt"] == {"hex": (1.0 / 30.0).hex()}
+    edit_header_line(path, "config", "dt", {"hex": (0.02).hex()})
+    with pytest.raises(ds.MalformedTrajectory, match="config field 'dt'"):
+        ds.read(path)
+
+
+def _frames(traj, rows):
+    return dataclasses.replace(
+        traj, **{name: getattr(traj, name)[rows] for name in ds._ARRAY_FIELDS})
+
+
+def test_replay_without_last_frame_did_not_succeed(lid_trajectory):
+    shorter = _frames(lid_trajectory, slice(0, -1))
+    with pytest.raises(ds.ReplayMismatch, match="did not succeed"):
+        ds.replay_trajectory(shorter)
+
+
+def test_replay_past_episode_end_ended_early(lid_trajectory):
+    n = lid_trajectory.length
+    longer = _frames(lid_trajectory, [*range(n), n - 1])
+    with pytest.raises(ds.ReplayMismatch, match=f"episode ended early at step {n + 1}"):
+        ds.replay_trajectory(longer)
+    # a step limit below the file's length also ends the episode early, but
+    # max_steps enters the time embedding, so the first step already differs
+    cut = dataclasses.replace(lid_trajectory, config=dataclasses.replace(
+        lid_trajectory.config, max_steps=n - 1))
+    with pytest.raises(ds.ReplayMismatch, match="step 1, field 'observations'"):
+        ds.replay_trajectory(cut)
 
 
 # ---------------------------------------------------------------------------

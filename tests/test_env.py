@@ -1,17 +1,21 @@
+import re
+
 import numpy as np
 import pytest
 
 from manibench import geometry as geo
 from manibench import world as w
 from manibench.control import ScriptedController, run_scripted_episode
-from manibench.env import Env, EpisodeConfig, EpisodeFinished, episode_rng
+from manibench.dataset import record_rollout, replay_trajectory
+from manibench.env import Env, EpisodeConfig, EpisodeFinished, episode_rng, run_episode
 from manibench.reward import (
     GRASP_THRESHOLD,
     SUCCESS_THRESHOLD,
     RewardWeights,
     mean_hand_distance,
 )
-from manibench.robot import _wrist_chain, gripper_bot, hand_bot, make_robot
+from manibench.rl import evaluate
+from manibench.robot import DT, FRAME_RATE, _wrist_chain, gripper_bot, hand_bot, make_robot
 
 
 def make_env(object_name="laptop", skill="open", robot=None, **cfg):
@@ -330,3 +334,52 @@ def test_detach_keeps_grasp_point():
     _, _, _, info = env.step(lift)
     np.testing.assert_array_equal(info["grasp_point"], grasp)
     assert not info["attached"]
+
+
+# ---------------------------------------------------------------------------
+# the step interface and the one episode loop
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(6,), (8,), (1, 7)])
+def test_step_rejects_action_of_wrong_shape(shape):
+    env = make_env(seed=0)
+    env.reset(0)
+    with pytest.raises(ValueError, match=rf"shape \(7,\), got {re.escape(str(shape))}"):
+        env.step(np.zeros(shape))
+    assert env.t == 0
+
+
+def test_control_rate_is_fixed_not_a_config_field():
+    with pytest.raises(TypeError, match="dt"):
+        EpisodeConfig(dt=0.02)
+    assert not hasattr(EpisodeConfig(), "dt")
+    assert DT == 1.0 / FRAME_RATE == 1.0 / 30.0
+
+
+@pytest.mark.parametrize("max_steps", [300, 20])
+@pytest.mark.parametrize("robot", ["gripper-bot", "hand-bot"])
+def test_episode_loops_agree(robot, max_steps):
+    """evaluate, record_rollout, replay_trajectory and run_scripted_episode
+    run the same episode: same step count, same success."""
+    spec, task, seed = make_robot(robot), w.make_task("laptop", "open"), 3
+    config = EpisodeConfig(seed=seed, max_steps=max_steps)
+    record = evaluate(ScriptedController(), task, spec, config, 1).records[0]
+    scripted = run_scripted_episode(Env(config, task, spec), 0)
+    traj = record_rollout(ScriptedController(), task, spec, config, seed=seed, retries=0)
+    assert (scripted["steps"], scripted["success"]) == (record.steps, record.success)
+    assert record.success == (max_steps == 300)  # 20 steps cannot reach the goal
+    if record.success:
+        assert traj.length == record.steps
+        replay_trajectory(traj)
+    else:
+        assert traj is None and record.steps == max_steps
+
+
+def test_run_episode_yields_each_step():
+    env = make_env(seed=0, max_steps=5)
+    seen = []
+    for action, obs, info in run_episode(env, lambda obs, env: np.zeros(7), 2):
+        seen.append(env.t)
+        assert action.dtype == np.float64 and action.shape == (7,)
+        assert "terms" in info and obs.values.shape == (146,)
+    assert seen == [1, 2, 3, 4, 5] and env.episode == 2 and env.done

@@ -6,7 +6,7 @@ from manibench import world as w
 from manibench.control import ScriptedController
 from manibench.env import Env, EpisodeConfig
 from manibench.observation import ObservationLayout, assemble, time_embedding
-from manibench.robot import forward_kinematics, gripper_bot, hand_bot
+from manibench.robot import DT, forward_kinematics, gripper_bot, hand_bot
 
 
 def make_env(robot, name="laptop", skill="open", **cfg):
@@ -128,7 +128,7 @@ def test_velocities_are_finite_differences():
     action[1] = 0.02
     obs, _, _, _ = env.step(action)
     prop = obs.values[obs.layout.slices()["proprioception"]]
-    expected = (env.frames.palm.translation - prev_palm) / env.config.dt
+    expected = (env.frames.palm.translation - prev_palm) / DT
     np.testing.assert_array_equal(prop[6:9], expected)
 
 
@@ -170,7 +170,7 @@ def test_offline_rebuild_bit_exact():
     for i, rec in enumerate(recorded):
         frames = forward_kinematics(robot, rec["q"], anchor)
         rebuilt = assemble(
-            layout, t=rec["t"], max_steps=300, dt=env.config.dt,
+            layout, t=rec["t"], max_steps=300, dt=DT,
             grasp=rec["grasp"], movable_rotation=rec["movable_rot"], goal=goal,
             frames=frames, prev_frames=prev_frames, q=rec["q"],
             qdot=rec["qdot"], qddot=rec["qddot"], prev_action=rec["prev_action"])

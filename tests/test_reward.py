@@ -33,50 +33,57 @@ def random_snapshot(rng, n_points=3, d_eff=1):
     )
 
 
+def terms_at(hand_points, grasp, goal, weights=W):
+    """total_reward's terms for a palm at the origin and a zero action."""
+    return rw.total_reward(snapshot(hand_points, np.zeros(3), grasp, goal),
+                           np.zeros(7), weights)
+
+
 # ---------------------------------------------------------------------------
-# grasp_flag
+# grasp flag (total_reward's f_g)
 # ---------------------------------------------------------------------------
 
 def test_flag_true_when_coincident():
     pts = np.zeros((3, 3))
-    assert rw.grasp_flag(pts, np.zeros(3), 0.1)
+    assert terms_at(pts, np.zeros(3), np.zeros(3)).f_g
 
 
 def test_flag_strict_at_boundary():
-    pts = np.array([[0.1, 0.0, 0.0]])
-    assert not rw.grasp_flag(pts, np.zeros(3), 0.1)
+    pts = np.array([[rw.GRASP_THRESHOLD, 0.0, 0.0]])
+    assert not terms_at(pts, np.zeros(3), np.zeros(3)).f_g
 
 
 def test_flag_hand_arithmetic():
     pts = np.array([[0.05, 0, 0], [0.10, 0, 0], [0.12, 0, 0]])
     assert rw.mean_hand_distance(pts, np.zeros(3)) == pytest.approx(0.09, abs=1e-15)
-    assert rw.grasp_flag(pts, np.zeros(3), 0.1)
+    assert terms_at(pts, np.zeros(3), np.zeros(3)).f_g
 
 
 def test_flag_empty_errors():
     with pytest.raises(ValueError, match="empty point set"):
-        rw.grasp_flag(np.zeros((0, 3)), np.zeros(3), 0.1)
+        terms_at(np.zeros((0, 3)), np.zeros(3), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
-# reward_distance
+# r_d (total_reward's distance term)
 # ---------------------------------------------------------------------------
 
 def test_distance_zero_when_everything_coincides():
-    assert rw.reward_distance(np.zeros((3, 3)), np.zeros(3), np.zeros(3), 1.0) == 0.0
+    assert terms_at(np.zeros((3, 3)), np.zeros(3), np.zeros(3)).r_d == 0.0
 
 
 def test_distance_hand_arithmetic():
     pts = np.array([[0.5, 0, 0]])
-    out = rw.reward_distance(pts, np.zeros(3), np.array([0.3, 0, 0]), 1.0)
+    out = terms_at(pts, np.zeros(3), np.array([0.3, 0, 0])).r_d
     assert out == pytest.approx(-0.8, abs=1e-12)
 
 
 def test_distance_linear_in_weight():
     rng = np.random.default_rng(0)
     pts, grasp, goal = rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-    assert rw.reward_distance(pts, grasp, goal, 2.0) == pytest.approx(
-        2 * rw.reward_distance(pts, grasp, goal, 1.0), rel=1e-12)
+    doubled = rw.RewardWeights(distance=2.0)
+    assert terms_at(pts, grasp, goal, doubled).r_d == pytest.approx(
+        2 * terms_at(pts, grasp, goal).r_d, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +177,9 @@ def test_move_ignores_rotation_and_effector():
 
 
 def test_success_bonus_values():
-    assert rw.reward_success(np.zeros(3), np.zeros(3), 0.05, 2.0) == 2.0
-    assert rw.reward_success(np.zeros(3), np.array([0.05, 0, 0]), 0.05, 2.0) == 0.0
-    assert rw.reward_success(np.zeros(3), np.array([0.049, 0, 0]), 0.05, 2.0) == 2.0
+    assert rw.reward_success(np.zeros(3), np.zeros(3), 2.0) == 2.0
+    assert rw.reward_success(np.zeros(3), np.array([0.05, 0, 0]), 2.0) == 0.0
+    assert rw.reward_success(np.zeros(3), np.array([0.049, 0, 0]), 2.0) == 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -239,7 +239,7 @@ def make_state(spec, anchor=None):
 
 def test_zero_action_is_idempotent(spec):
     state = make_state(spec)
-    nxt = rb.apply_action(spec, state, rb.Action.zero(spec.dof_effector), 1 / 30)
+    nxt = rb.apply_action(spec, state, np.zeros(spec.action_dim))
     # zero action targets the current pose but effector target 0 may differ
     # from the open pose; only base/arm joints must hold still
     np.testing.assert_allclose(nxt.q[0:9], state.q[0:9], atol=1e-12)
@@ -249,8 +249,8 @@ def test_zero_action_is_idempotent(spec):
 def test_forward_translation_uses_prismatic_base():
     spec = rb.gripper_bot()
     state = make_state(spec)
-    action = rb.Action(geo.vec3(0.0, 0.02, 0.0), np.zeros(3), spec.effector.open_pose)
-    nxt = rb.apply_action(spec, state, action, 1 / 30)
+    action = np.concatenate([geo.vec3(0.0, 0.02, 0.0), np.zeros(3), spec.effector.open_pose])
+    nxt = rb.apply_action(spec, state, action)
     moved = nxt.wrist_pose.translation - state.wrist_pose.translation
     np.testing.assert_allclose(moved, [0.0, 0.02, 0.0], atol=2e-4)
     assert nxt.q[1] > 0.004  # drive joint takes a large share
@@ -259,18 +259,18 @@ def test_forward_translation_uses_prismatic_base():
 
 def test_effector_target_clamped(spec):
     state = make_state(spec)
-    action = rb.Action.zero(spec.dof_effector)
-    action.effector = action.effector + 10.0
-    nxt = rb.apply_action(spec, state, action, 1 / 30)
+    action = np.zeros(spec.action_dim)
+    action[6:] += 10.0
+    nxt = rb.apply_action(spec, state, action)
     hi = spec.effector_limits()[:, 1]
     assert np.all(nxt.prev_action[6:] == hi)
 
 
 def test_step_limits_clamp_displacement(spec):
     state = make_state(spec)
-    action = rb.Action(geo.vec3(1.0, 0.0, 0.0), geo.vec3(0.0, 0.0, 1.0),
-                       spec.effector.open_pose)
-    nxt = rb.apply_action(spec, state, action, 1 / 30)
+    action = np.concatenate([geo.vec3(1.0, 0.0, 0.0), geo.vec3(0.0, 0.0, 1.0),
+                             spec.effector.open_pose])
+    nxt = rb.apply_action(spec, state, action)
     assert np.linalg.norm(nxt.prev_action[0:3]) <= spec.pos_step_limit + 1e-12
     assert np.linalg.norm(nxt.prev_action[3:6]) <= spec.rot_step_limit + 1e-12
     achieved = nxt.wrist_pose.translation - state.wrist_pose.translation
@@ -279,16 +279,16 @@ def test_step_limits_clamp_displacement(spec):
 
 def test_apply_action_updates_derivatives(spec):
     state = make_state(spec)
-    action = rb.Action(geo.vec3(0.0, 0.01, 0.0), np.zeros(3), spec.effector.open_pose)
-    dt = 1 / 30
-    nxt = rb.apply_action(spec, state, action, dt)
+    action = np.concatenate([geo.vec3(0.0, 0.01, 0.0), np.zeros(3), spec.effector.open_pose])
+    dt = rb.DT
+    nxt = rb.apply_action(spec, state, action)
     np.testing.assert_allclose(nxt.qdot, (nxt.q - state.q) / dt, atol=1e-12)
     np.testing.assert_allclose(nxt.qddot, (nxt.qdot - state.qdot) / dt, atol=1e-9)
 
 
 def test_rate_limit_respected(spec):
     state = make_state(spec)
-    action = rb.Action(geo.vec3(0.02, 0.0, 0.0), np.zeros(3), spec.effector.open_pose)
-    dt = 1 / 30
-    nxt = rb.apply_action(spec, state, action, dt)
+    action = np.concatenate([geo.vec3(0.02, 0.0, 0.0), np.zeros(3), spec.effector.open_pose])
+    dt = rb.DT
+    nxt = rb.apply_action(spec, state, action)
     assert np.all(np.abs(nxt.q - state.q) <= spec.max_velocity * dt + 1e-12)
