@@ -84,7 +84,10 @@ def _apply_section(section_name: str, raw: dict, default_obj):
         if key not in known:
             raise ConfigError(f"unknown key {section_name}.{key!r}")
         updates[key] = _coerce(f"{section_name}.{key}", value, known[key])
-    return replace(default_obj, **updates)
+    try:
+        return replace(default_obj, **updates)
+    except ValueError as exc:   # the section's own range checks
+        raise ConfigError(f"{section_name}: {exc}") from None
 
 
 # top-level keys that flow into the nested sections of the same name

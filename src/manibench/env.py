@@ -93,10 +93,12 @@ class EpisodeConfig:
     success_threshold: ClassVar[float] = SUCCESS_THRESHOLD
 
     def __post_init__(self):
-        assert self.max_steps >= 1
-        for rng in (self.base_offset_range, self.object_height_range, self.close_init_range):
-            if rng is not None:
-                assert rng[0] <= rng[1]
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        for name in ("base_offset_range", "object_height_range", "close_init_range"):
+            rng = getattr(self, name)
+            if rng is not None and not rng[0] <= rng[1]:
+                raise ValueError(f"{name} must be (low, high) with low <= high, got {rng}")
 
     @property
     def effective_offsets(self) -> tuple:
@@ -170,7 +172,7 @@ class Env:
         self.robot = make_initial_state(self.robot_spec, anchor)
 
         self.frames = forward_kinematics(self.robot_spec, self.robot.q, anchor,
-                                         _chain=self.robot.chain)
+                                         _state=self.robot)
         self.prev_frames = None
         self.palm_rotation_init = self.frames.palm.rotation.copy()
         self.effector_init = self.robot.q[9:].copy()
@@ -200,11 +202,11 @@ class Env:
             raise ValueError(f"action must have shape ({self.robot_spec.action_dim},), "
                              f"got {action.shape}")
 
-        self.robot, chain = apply_action_with_chain(
+        self.robot, _ = apply_action_with_chain(
             self.robot_spec, self.robot, action, fixed_base=self.config.fixed_base)
         self.prev_frames = self.frames
         self.frames = forward_kinematics(self.robot_spec, self.robot.q,
-                                         self.robot.base_anchor, _chain=chain)
+                                         self.robot.base_anchor, _state=self.robot)
         palm = self.frames.palm
         tips = self.frames.hand_positions
         obj = self.task.object

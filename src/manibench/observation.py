@@ -90,7 +90,9 @@ class Observation:
     layout: ObservationLayout
 
     def __post_init__(self):
-        assert self.values.shape == (self.layout.total,)
+        if self.values.shape != (self.layout.total,):
+            raise ValueError(f"values must have shape ({self.layout.total},), "
+                             f"got {self.values.shape}")
 
 
 def time_embedding(t: int, max_steps: int) -> np.ndarray:
@@ -116,11 +118,20 @@ def _frame_velocities(frames: KinematicFrames, prev: KinematicFrames | None,
     palm_w = _angular_velocity(frames.palm, prev.palm, dt)
     tips_v = np.empty((n, 3))
     tips_w = np.empty((n, 3))
-    for i in range(n):
-        tips_v[i] = (frames.hand_points[i].translation
-                     - prev.hand_points[i].translation) / dt
-        tips_w[i] = _angular_velocity(frames.hand_points[i], prev.hand_points[i], dt)
+    for i, (now_point, prev_point) in enumerate(zip(frames.hand_points, prev.hand_points)):
+        tips_v[i] = (now_point.translation - prev_point.translation) / dt
+        if _turns_with_palm(now_point, frames) and _turns_with_palm(prev_point, prev):
+            tips_w[i] = palm_w    # the same two matrices as the palm's
+        else:
+            tips_w[i] = _angular_velocity(now_point, prev_point, dt)
     return palm_v, palm_w, tips_v, tips_w
+
+
+def _turns_with_palm(point, frames: KinematicFrames) -> bool:
+    """True for a hand point holding the palm's own rotation matrix (a
+    gripper fingertip): its rotation vector and angular velocity are the
+    palm's, so they are reused rather than recomputed."""
+    return point.rotation_matrix is frames.palm.rotation_matrix
 
 
 def _angular_velocity(now, prev, dt: float) -> np.ndarray:
@@ -143,7 +154,8 @@ def assemble(layout: ObservationLayout, *, t: int, max_steps: int, dt: float,
         grasp, movable_rotation, goal,
         palm.translation, palm.rotation, palm_v, palm_w,
         tips.ravel(),
-        np.concatenate([hp.rotation for hp in frames.hand_points]),
+        np.concatenate([palm.rotation if _turns_with_palm(hp, frames) else hp.rotation
+                        for hp in frames.hand_points]),
         tips_v.ravel(), tips_w.ravel(),
         q, qdot, qddot,
         np.array([point_distance(palm.translation, grasp)]),

@@ -44,7 +44,9 @@ class RewardWeights:
     success_threshold: ClassVar[float] = SUCCESS_THRESHOLD
 
     def __post_init__(self):
-        assert min(self.distance, self.approach, self.grasp, self.move, self.success) >= 0
+        for name in ("distance", "approach", "grasp", "move", "success"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"reward weight {name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass

@@ -58,9 +58,11 @@ class PPOConfig:
     target_kl: float = 0.05   # stop policy minibatch steps once KL exceeds this
 
     def __post_init__(self):
-        assert self.num_envs >= 1 and self.rollout_horizon >= 1
-        assert 0.0 < self.clip_ratio < 1.0
-        assert self.minibatches >= 1 and self.epochs_per_iter >= 1
+        for name in ("num_envs", "rollout_horizon", "minibatches", "epochs_per_iter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 < self.clip_ratio < 1.0:
+            raise ValueError(f"clip_ratio must lie in (0, 1), got {self.clip_ratio}")
 
 
 # ---------------------------------------------------------------------------

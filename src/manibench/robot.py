@@ -133,14 +133,18 @@ def _default_hand_fingers() -> tuple:
 # Robot specification
 # ---------------------------------------------------------------------------
 
+# the arm axes the wrist chain handles, as exact float64 bytes (+0.0 only)
+_COORDINATE_AXES = {row.tobytes() for row in np.eye(3)}
+
+
 @dataclass(frozen=True)
 class RobotSpec:
     name: str
-    base_mount: Transform                 # base origin -> arm root
-    arm_offsets: tuple                    # 7 parent-frame Transforms
-    arm_axes: np.ndarray                  # (7, 3) unit axes, joint-local
-    wrist_offset: Transform               # after joint 7 -> wrist frame
-    palm_offset: Transform                # wrist -> palm keypoint frame
+    base_mount: Transform                 # base origin -> arm root, translation only
+    arm_offsets: tuple                    # 7 parent-frame translations (Transforms)
+    arm_axes: np.ndarray                  # (7, 3) joint-local +x, +y or +z
+    wrist_offset: Transform               # after joint 7 -> wrist frame, translation
+    palm_offset: Transform                # wrist -> palm keypoint frame, translation
     effector: GripperSpec | HandSpec
     joint_limits: np.ndarray              # (2+7+D, 2)
     max_velocity: np.ndarray              # (2+7+D,)
@@ -149,11 +153,31 @@ class RobotSpec:
     rot_step_limit: float = 0.05          # per-step wrist rotation cap (rad)
 
     def __post_init__(self):
-        d = self.effector.dof
-        assert self.joint_limits.shape == (9 + d, 2)
-        assert self.max_velocity.shape == (9 + d,)
-        assert np.all(self.joint_limits[:, 0] < self.joint_limits[:, 1])
-        assert np.allclose(np.linalg.norm(self.arm_axes, axis=1), 1.0)
+        """ValueError naming the field unless the spec is one the wrist
+        chain handles: coordinate arm axes and pure-translation offsets."""
+        n = 9 + self.effector.dof
+        if np.shape(self.joint_limits) != (n, 2):
+            raise ValueError(f"joint_limits must have shape {(n, 2)}, "
+                             f"got {np.shape(self.joint_limits)}")
+        if np.shape(self.max_velocity) != (n,):
+            raise ValueError(f"max_velocity must have shape {(n,)}, "
+                             f"got {np.shape(self.max_velocity)}")
+        for i, (lo, hi) in enumerate(self.joint_limits.tolist()):
+            if not lo < hi:
+                raise ValueError(f"joint_limits[{i}]: lower bound {lo} is not below upper {hi}")
+        if np.shape(self.arm_axes) != (7, 3) or len(self.arm_offsets) != 7:
+            raise ValueError("arm_axes and arm_offsets must describe 7 arm joints")
+        for i, axis in enumerate(np.asarray(self.arm_axes, dtype=np.float64)):
+            if axis.tobytes() not in _COORDINATE_AXES:
+                raise ValueError(f"arm_axes[{i}] must be exactly (1, 0, 0), (0, 1, 0) "
+                                 f"or (0, 0, 1), got {tuple(axis.tolist())}")
+        offsets = [("base_mount", self.base_mount),
+                   *((f"arm_offsets[{i}]", t) for i, t in enumerate(self.arm_offsets)),
+                   ("wrist_offset", self.wrist_offset), ("palm_offset", self.palm_offset)]
+        for name, t in offsets:
+            if not np.array_equal(t.rotation_matrix, np.eye(3)):
+                raise ValueError(f"{name} must be a pure translation, "
+                                 f"got rotation {tuple(t.rotation.tolist())}")
 
     @property
     def dof_effector(self) -> int:
@@ -279,7 +303,7 @@ class RobotState:
     prev_action: np.ndarray
     wrist_pose: Transform
     base_anchor: Transform
-    chain: tuple                  # _wrist_chain(spec, q, base_anchor)
+    chain: tuple                  # _wrist_chain(spec, q, base_anchor), floats
     ik_warning: bool = False
 
 
@@ -296,7 +320,7 @@ def make_initial_state(spec: RobotSpec, base_anchor: Transform,
         qdot=np.zeros(spec.n_joints),
         qddot=np.zeros(spec.n_joints),
         prev_action=np.zeros(spec.action_dim),
-        wrist_pose=Transform.from_matrix(chain[1], chain[0]),
+        wrist_pose=_wrist_pose(chain),
         base_anchor=base_anchor,
         chain=chain,
     )
@@ -311,46 +335,26 @@ class KinematicFrames:
     wrist: Transform
     palm: Transform
     hand_points: list            # N palm-chained Transforms
+    hand_positions: np.ndarray   # (N, 3) world positions of the hand points
     distance_points: np.ndarray  # (15|22, 3) world positions
     joint_origins: np.ndarray    # (9, 3) base+arm joint origins
-    joint_axes: np.ndarray       # (9, 3) world joint axes
-
-    @property
-    def hand_positions(self) -> np.ndarray:
-        return np.array([t.translation for t in self.hand_points])
 
 
 class _CompiledSpec:
-    """Per-spec constants hoisted out of the FK inner loop.
-
-    The chain itself runs on plain Python floats (tuple-of-tuples rotation
-    matrices): at 3x3 scale the interpreter beats numpy's per-call overhead
-    by a wide margin, and FK dominates every rollout.
-    """
+    """Per-spec constants hoisted out of the kinematics inner loops."""
 
     def __init__(self, spec: RobotSpec):
-        def rot_or_none(t: Transform):
-            # None marks an identity offset rotation: the chain skips it
-            r = t.rotation_matrix
-            return None if np.array_equal(r, np.eye(3)) else r
-
-        def tuples(a: np.ndarray):
-            # nested tuples of Python floats unpack fastest in the chain
-            return tuple(map(tuples, a)) if a.ndim > 1 else tuple(a.tolist())
-
-        def rows_or_none(t: Transform):
-            r = rot_or_none(t)
-            return None if r is None else tuples(r)
-
-        self.mount_t = tuples(spec.base_mount.translation)
-        self.mount_r = rows_or_none(spec.base_mount)
-        self.arm_t = [tuples(off.translation) for off in spec.arm_offsets]
-        self.arm_r = [rows_or_none(off) for off in spec.arm_offsets]
-        self.arm_axes = tuples(spec.arm_axes)
-        self.wrist_t = tuples(spec.wrist_offset.translation)
-        self.wrist_r = rows_or_none(spec.wrist_offset)
+        self.mount_t = tuple(spec.base_mount.translation.tolist())
+        # per arm joint: its offset, then the index a of its axis and the
+        # other two column indices b, d in cyclic order (a, b, d)
+        self.arm = []
+        for offset, axis in zip(spec.arm_offsets, np.asarray(spec.arm_axes).tolist()):
+            a = axis.index(1.0)
+            self.arm.append((tuple(offset.translation.tolist()), a, (a + 1) % 3, (a + 2) % 3))
+        self.wrist_t = tuple(spec.wrist_offset.translation.tolist())
         self.palm_t = spec.palm_offset.translation
-        self.palm_r = rot_or_none(spec.palm_offset)
+        self.limits_lo = spec.joint_limits[0:9, 0].copy()
+        self.limits_hi = spec.joint_limits[0:9, 1].copy()
 
 
 def _compiled(spec: RobotSpec) -> _CompiledSpec:
@@ -361,122 +365,119 @@ def _compiled(spec: RobotSpec) -> _CompiledSpec:
     return cached
 
 
-def _mm(a, b):
-    """3x3 @ 3x3 on tuple matrices."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
-    return (
-        (a00 * b00 + a01 * b10 + a02 * b20,
-         a00 * b01 + a01 * b11 + a02 * b21,
-         a00 * b02 + a01 * b12 + a02 * b22),
-        (a10 * b00 + a11 * b10 + a12 * b20,
-         a10 * b01 + a11 * b11 + a12 * b21,
-         a10 * b02 + a11 * b12 + a12 * b22),
-        (a20 * b00 + a21 * b10 + a22 * b20,
-         a20 * b01 + a21 * b11 + a22 * b21,
-         a20 * b02 + a21 * b12 + a22 * b22),
-    )
-
-
-def _mv(a, v):
-    """3x3 @ 3 on tuples."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-    x, y, z = v
-    return (a00 * x + a01 * y + a02 * z,
-            a10 * x + a11 * y + a12 * z,
-            a20 * x + a21 * y + a22 * z)
-
-
-def _axis_angle_tuples(axis, angle: float):
-    ux, uy, uz = axis
-    c = math.cos(angle)
-    s = math.sin(angle)
-    ic = 1.0 - c
-    return (
-        (c + ux * ux * ic, ux * uy * ic - uz * s, ux * uz * ic + uy * s),
-        (uy * ux * ic + uz * s, c + uy * uy * ic, uy * uz * ic - ux * s),
-        (uz * ux * ic - uy * s, uz * uy * ic + ux * s, c + uz * uz * ic),
-    )
-
-
 def _wrist_chain(spec: RobotSpec, q: np.ndarray, anchor: Transform):
-    """Shared FK core: returns wrist (R, p) plus joint origins/axes arrays."""
+    """Shared FK core, on Python floats: at 3x3 scale the interpreter beats
+    numpy's per-call overhead, and the chain runs several times per step.
+
+    Returns (rw, pw, origins, axes): the wrist rotation as three row tuples,
+    the wrist position, and lists of the 9 base/arm joint origins and world
+    axes, each an (x, y, z) tuple. Callers convert to arrays once, where
+    numpy consumes them (`_wrist_pose`, `forward_kinematics`).
+
+    RobotSpec guarantees what the loop relies on: each arm joint turns about
+    +x, +y or +z, and every offset is a pure translation. The rotation is
+    held as three column tuples. A joint about axis a multiplies it by the
+    Rodrigues matrix of e_a, whose entries are k = c + (1.0 - c) on the axis,
+    c on the other diagonal, 0.0 - s and 0.0 + s on the turning plane and
+    0.0 elsewhere. Each product keeps its 0.0 terms: they fix the sign of an
+    entry that comes out exactly zero, so every output is bit-identical to
+    the generic 3x3 product.
+    """
     cs = _compiled(spec)
-    origins = np.empty((9, 3))
-    axes = np.empty((9, 3))
-    r = anchor.rotation_matrix.tolist()
-    p = anchor.translation.tolist()
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = anchor.rotation_matrix.tolist()
+    px, py, pz = anchor.translation.tolist()
+    q0, q1, *arm_q = q.tolist()
 
-    q = q.tolist()  # the chain runs on Python floats
-    q0 = q[0]
-    origins[0] = p
-    axes[0] = _mv(r, (0.0, 0.0, 1.0))      # yaw about world z (anchor upright)
+    # base yaw about the anchor's z axis: R @ ((c, -s, 0), (s, c, 0), (0, 0, 1))
     c, s = math.cos(q0), math.sin(q0)
-    r = _mm(r, ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0)))
+    ns = -s
+    z = (r00 * 0.0 + r01 * 0.0 + r02, r10 * 0.0 + r11 * 0.0 + r12, r20 * 0.0 + r21 * 0.0 + r22)
+    cols = [(r00 * c + r01 * s + r02 * 0.0, r10 * c + r11 * s + r12 * 0.0,
+             r20 * c + r21 * s + r22 * 0.0),
+            (r00 * ns + r01 * c + r02 * 0.0, r10 * ns + r11 * c + r12 * 0.0,
+             r20 * ns + r21 * c + r22 * 0.0),
+            z]
+    origins = [(px, py, pz)]
+    axes = [z]                              # the yaw axis, the anchor's z
 
-    drive = _mv(r, (0.0, 1.0, 0.0))        # local y after yaw
-    axes[1] = drive
-    origins[1] = p
-    q1 = q[1]
-    p = (p[0] + drive[0] * q1, p[1] + drive[1] * q1, p[2] + drive[2] * q1)
+    # base drive along the local y after yaw, then the arm mount
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = cols
+    drive = (x0 * 0.0 + y0 + z0 * 0.0, x1 * 0.0 + y1 + z1 * 0.0, x2 * 0.0 + y2 + z2 * 0.0)
+    origins.append((px, py, pz))
+    axes.append(drive)
+    px, py, pz = px + drive[0] * q1, py + drive[1] * q1, pz + drive[2] * q1
+    tx, ty, tz = cs.mount_t
+    px, py, pz = (px + (x0 * tx + y0 * ty + z0 * tz), py + (x1 * tx + y1 * ty + z1 * tz),
+                  pz + (x2 * tx + y2 * ty + z2 * tz))
 
-    t = _mv(r, cs.mount_t)
-    p = (p[0] + t[0], p[1] + t[1], p[2] + t[2])
-    if cs.mount_r is not None:
-        r = _mm(r, cs.mount_r)
+    for ((tx, ty, tz), a, b, d), angle in zip(cs.arm, arm_q):
+        (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = cols
+        px, py, pz = (px + (x0 * tx + y0 * ty + z0 * tz), py + (x1 * tx + y1 * ty + z1 * tz),
+                      pz + (x2 * tx + y2 * ty + z2 * tz))
+        origins.append((px, py, pz))
+        (a0, a1, a2), (b0, b1, b2), (d0, d1, d2) = cols[a], cols[b], cols[d]
+        # zero terms shared between entries: with at most two nonzero
+        # terms, a sum's bits do not depend on the order of its terms
+        e0, e1, e2 = b0 * 0.0 + d0 * 0.0, b1 * 0.0 + d1 * 0.0, b2 * 0.0 + d2 * 0.0
+        f0, f1, f2 = a0 * 0.0, a1 * 0.0, a2 * 0.0
+        axes.append((a0 + e0, a1 + e1, a2 + e2))
+        c, s = math.cos(angle), math.sin(angle)
+        k, sp, sn = c + (1.0 - c), 0.0 + s, 0.0 - s
+        cols[a] = (a0 * k + e0, a1 * k + e1, a2 * k + e2)
+        cols[b] = (f0 + b0 * c + d0 * sp, f1 + b1 * c + d1 * sp, f2 + b2 * c + d2 * sp)
+        cols[d] = (f0 + b0 * sn + d0 * c, f1 + b1 * sn + d1 * c, f2 + b2 * sn + d2 * c)
 
-    for i in range(7):
-        t = _mv(r, cs.arm_t[i])
-        p = (p[0] + t[0], p[1] + t[1], p[2] + t[2])
-        if cs.arm_r[i] is not None:
-            r = _mm(r, cs.arm_r[i])
-        origins[2 + i] = p
-        axes[2 + i] = _mv(r, cs.arm_axes[i])
-        r = _mm(r, _axis_angle_tuples(cs.arm_axes[i], q[2 + i]))
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = cols
+    tx, ty, tz = cs.wrist_t
+    pw = (px + (x0 * tx + y0 * ty + z0 * tz), py + (x1 * tx + y1 * ty + z1 * tz),
+          pz + (x2 * tx + y2 * ty + z2 * tz))
+    return ((x0, y0, z0), (x1, y1, z1), (x2, y2, z2)), pw, origins, axes
 
-    t = _mv(r, cs.wrist_t)
-    pw = np.array((p[0] + t[0], p[1] + t[1], p[2] + t[2]))
-    if cs.wrist_r is not None:
-        r = _mm(r, cs.wrist_r)
-    rw = np.array(r)
-    return rw, pw, origins, axes
+
+def _wrist_pose(chain) -> Transform:
+    """The chain's wrist as arrays: each robot state converts once."""
+    return Transform.from_matrix(np.array(chain[1]), np.array(chain[0]))
 
 
 def forward_kinematics(spec: RobotSpec, q: np.ndarray,
                        base_anchor: Transform,
-                       _chain=None) -> KinematicFrames:
+                       _state: RobotState | None = None) -> KinematicFrames:
     """World frames for wrist, palm, hand points, and distance points.
 
-    _chain lets apply_action hand over its already-computed wrist chain.
+    _state lets the env hand over the RobotState at q, whose wrist chain and
+    wrist pose are reused rather than recomputed.
     """
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (spec.n_joints,):
         raise ValueError(f"joint vector must have {spec.n_joints} entries, got {q.shape}")
 
-    cs = _compiled(spec)
-    rw, pw, origins, axes = _chain if _chain is not None \
-        else _wrist_chain(spec, q, base_anchor)
-    rp = rw if cs.palm_r is None else rw @ cs.palm_r
-    pp = pw + rw @ cs.palm_t
-    palm = Transform.from_matrix(pp, rp)
-    wrist = Transform.from_matrix(pw, rw)
+    if _state is None:
+        chain = _wrist_chain(spec, q, base_anchor)
+        wrist = _wrist_pose(chain)
+    else:
+        chain, wrist = _state.chain, _state.wrist_pose
+    _, pw_floats, origins, _ = chain
+    rw, pw = wrist.rotation_matrix, wrist.translation
+    pp = pw + rw @ _compiled(spec).palm_t    # the palm offset is a pure translation
+    palm = Transform.from_matrix(pp, rw)
 
     hand_points = [
-        Transform.from_matrix(pp + rp @ local_t,
-                              rp if local_r is None else rp @ local_r)
+        Transform.from_matrix(pp + rw @ local_t, rw if local_r is None else rw @ local_r)
         for local_t, local_r in spec.effector.hand_point_offsets(q[9:])]
+    hand_positions = np.array([t.translation for t in hand_points])
 
+    # distance points: the 9 joint origins, the palm, the hand points, then
+    # the last pads midpoints of consecutive arm joint origins and the wrist
+    arm_pts = origins[2:] + [pw_floats]
     pads = spec.n_midpoint_pads
-    chain_pts = np.vstack([origins[2:], pw[None, :]])   # 7 arm origins + wrist
-    mids = 0.5 * (chain_pts[:-1] + chain_pts[1:])       # 7 consecutive midpoints
-    distance_points = np.vstack(
-        [origins, pp[None, :],
-         np.array([t.translation for t in hand_points]),
-         mids[-pads:]])
+    mids = [(0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]), 0.5 * (a[2] + b[2]))
+            for a, b in zip(arm_pts[-pads - 1:-1], arm_pts[-pads:])]
+    distance_points = np.array([*origins, pp.tolist(), *hand_positions.tolist(), *mids])
 
     return KinematicFrames(wrist=wrist, palm=palm, hand_points=hand_points,
+                           hand_positions=hand_positions,
                            distance_points=distance_points,
-                           joint_origins=origins, joint_axes=axes)
+                           joint_origins=distance_points[0:9])
 
 
 def wrist_jacobian(spec: RobotSpec, q: np.ndarray, base_anchor: Transform) -> np.ndarray:
@@ -490,17 +491,17 @@ def wrist_jacobian(spec: RobotSpec, q: np.ndarray, base_anchor: Transform) -> np
 
 
 def _jacobian_from_chain(pw, origins, axes) -> np.ndarray:
-    # revolute columns: (axis x (pw - origin), axis), all 9 at once
-    ax, ay, az = axes.T
-    dx, dy, dz = (pw - origins).T
-    j = np.empty((6, 9))
-    j[0] = ay * dz - az * dy
-    j[1] = az * dx - ax * dz
-    j[2] = ax * dy - ay * dx
-    j[3:6] = axes.T
-    j[0:3, 1] = axes[1]                                  # prismatic: no angular part
-    j[3:6, 1] = 0.0
-    return j
+    """The Jacobian from the chain's floats as one C-contiguous (6, 9) array:
+    revolute columns (axis x (pw - origin), axis); column 1, the base drive,
+    is prismatic (axis, 0). The layout matters: for a Fortran-ordered j,
+    BLAS rounds `j.T @ x` differently."""
+    wx, wy, wz = pw
+    columns = []
+    for (ox, oy, oz), (ax, ay, az) in zip(origins, axes):
+        dx, dy, dz = wx - ox, wy - oy, wz - oz
+        columns += (ay * dz - az * dy, az * dx - ax * dz, ax * dy - ay * dx, ax, ay, az)
+    columns[6:12] = (*axes[1], 0.0, 0.0, 0.0)
+    return np.array(columns).reshape(9, 6).T.copy()    # copy() is C order
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +509,17 @@ def _jacobian_from_chain(pw, origins, axes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _DLS_LAMBDA = 0.05
+_DLS_DAMPING = _DLS_LAMBDA ** 2 * np.eye(6)
 _IK_MAX_ITERS = 50
 _IK_POS_TOL = 1e-4
 _IK_ROT_TOL = 1e-3
 _IK_FAIL_POS = 1e-3
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a float64 vector, by its own arithmetic: sqrt(v.v)
+    (a Python sum of squares differs in the last bit)."""
+    return math.sqrt(v.dot(v))
 
 
 def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
@@ -523,13 +531,19 @@ def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
     effector joints are untouched. fixed_base freezes the 2 base columns.
     Raises IkNotConverged when the position residual stays above 1e-3 m.
     _chain lets the caller hand over the wrist chain it already holds for q0.
+
+    The residual and Jacobian are built from the chain's floats. numpy does
+    the 3x3 rotation product, j @ j.T, the solve and j.T @ (...): its
+    rounding there differs from Python float arithmetic, and q's last bits
+    are part of the replay contract.
     """
+    cs = _compiled(spec)
     q = np.array(q0, dtype=np.float64)
     r_target = target.rotation_matrix
+    tx, ty, tz = target.translation.tolist()
     cols = slice(2, 9) if fixed_base else slice(0, 9)
-    damping = _DLS_LAMBDA ** 2 * np.eye(6)
 
-    best_err = np.inf
+    best_err = math.inf
     stalled = 0
     for _ in range(max_iters):
         if _chain is None:
@@ -537,12 +551,10 @@ def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
         else:
             rw, pw, origins, axes = _chain
             _chain = None
-        e = np.empty(6)
-        e[0:3] = target.translation - pw
-        e[3:6] = matrix_to_rotvec(r_target @ rw.T)
-        pos_err = float(np.linalg.norm(e[0:3]))
-        rot_err = float(np.linalg.norm(e[3:6]))
-        if pos_err < _IK_POS_TOL and rot_err < _IK_ROT_TOL:
+        rot = matrix_to_rotvec(r_target @ np.array(rw).T)
+        e = np.array((tx - pw[0], ty - pw[1], tz - pw[2], *rot.tolist()))
+        pos_err = _norm(e[0:3])
+        if pos_err < _IK_POS_TOL and _norm(e[3:6]) < _IK_ROT_TOL:
             return q
         # residual stall (joint limits / unreachable target): bail out early
         # rather than limit-cycling through the full iteration budget
@@ -554,13 +566,13 @@ def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
             stalled = 0
         best_err = min(best_err, pos_err)
         j = _jacobian_from_chain(pw, origins, axes)[:, cols]
-        dq = j.T @ np.linalg.solve(j @ j.T + damping, e)
+        dq = j.T @ np.linalg.solve(j @ j.T + _DLS_DAMPING, e)
         q[cols] += dq
-        q[0:9] = np.clip(q[0:9], spec.joint_limits[0:9, 0], spec.joint_limits[0:9, 1])
+        q[0:9] = q[0:9].clip(cs.limits_lo, cs.limits_hi)
     else:
         # Re-measure after the final update.
         _, pw, _, _ = _wrist_chain(spec, q, base_anchor)
-        pos_err = float(np.linalg.norm(target.translation - pw))
+        pos_err = _norm(np.array((tx - pw[0], ty - pw[1], tz - pw[2])))
     if pos_err > _IK_FAIL_POS:
         raise IkNotConverged(q, pos_err)
     return q
@@ -579,8 +591,8 @@ def clamp_norm(v: np.ndarray, limit: float) -> np.ndarray:
 
 def apply_action_with_chain(spec: RobotSpec, state: RobotState, action: np.ndarray,
                             fixed_base: bool = False):
-    """apply_action core; also returns the new wrist chain so callers can
-    feed it straight into forward_kinematics without recomputing."""
+    """apply_action core; returns (new state, its wrist chain), the chain
+    being the floats the state holds as `chain`."""
     d_pos = clamp_norm(action[0:3], spec.pos_step_limit)
     d_rot = clamp_norm(action[3:6], spec.rot_step_limit)
     eff_lim = spec.effector_limits()
@@ -614,7 +626,7 @@ def apply_action_with_chain(spec: RobotSpec, state: RobotState, action: np.ndarr
         qdot=qdot_new,
         qddot=qddot_new,
         prev_action=np.concatenate([d_pos, d_rot, eff_target]),
-        wrist_pose=Transform.from_matrix(chain[1], chain[0]),
+        wrist_pose=_wrist_pose(chain),
         base_anchor=state.base_anchor,
         chain=chain,
         ik_warning=ik_warning,

@@ -33,3 +33,30 @@ def test_tracer_installs_and_uninstalls(spans):
     assert tracer.summary()["env.step"][0] == 3
     assert "robot.ik_warning" in tracer.counts
     assert metrics["robot.wrist_chain.calls_per_step"] > 0
+
+
+def test_tracer_sees_every_wrist_chain_call(spans):
+    """Every chain call goes through the `robot._wrist_chain` attribute, so
+    the per-layer chain counts are non-zero under the tracer; a call made
+    through a local alias would read 0 here."""
+    import numpy as np
+
+    from manibench import env, robot
+    from manibench.control import run_scripted_episode
+    from manibench.geometry import Transform
+    from manibench.world import make_task
+
+    spec = robot.hand_bot()
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        run_scripted_episode(env.Env(env.EpisodeConfig(seed=0, max_steps=5),
+                                     make_task("laptop", "open"), spec), 0)
+        metrics = spans.per_layer_metrics(tracer, 0.0)
+        state = robot.make_initial_state(spec, Transform.identity())
+        new_state, chain = robot.apply_action_with_chain(spec, state, np.zeros(spec.action_dim))
+    finally:
+        tracer.uninstall()
+    assert metrics["robot.ik_solve.chain_calls_per_call"] >= 1
+    assert metrics["robot.wrist_chain.calls_per_step"] >= 2
+    assert chain is new_state.chain and new_state.ik_warning is False

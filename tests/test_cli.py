@@ -171,6 +171,33 @@ def test_config_dt_key_exits_two(tmp_path, capsys):
     assert not (tmp_path / "data").exists()
 
 
+def test_config_value_out_of_range_exits_two(tmp_path, capsys):
+    cfg = _cfg(tmp_path, {"episode": {"max_steps": 0}})
+    code, out, err = run_cli(capsys, "eval", "--episodes", "1", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("config error:") and "max_steps" in err
+    assert "success_rate" not in out
+
+
+def test_config_checks_hold_under_optimized_python():
+    """The dataclass checks raise ValueError, which `python -O` keeps."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    program = ("from manibench.env import EpisodeConfig\n"
+               "try:\n    EpisodeConfig(max_steps=0)\n"
+               "except ValueError as exc:\n    print(exc)\n"
+               "else:\n    raise SystemExit('max_steps=0 accepted')\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-O", "-c", program], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert "max_steps" in result.stdout
+
+
 def test_eval_truncated_checkpoint_exits_one(tmp_path, capsys):
     from manibench import rl
     from manibench.robot import gripper_bot

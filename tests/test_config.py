@@ -1,6 +1,12 @@
+import numpy as np
 import pytest
 
 from manibench.config import ConfigError, RunConfig, apply_overrides, parse_config
+from manibench.env import EpisodeConfig
+from manibench.observation import Observation, ObservationLayout
+from manibench.reward import RewardWeights
+from manibench.rl import PPOConfig
+from manibench.robot import gripper_bot
 
 
 def test_empty_document_gives_defaults():
@@ -93,3 +99,26 @@ def test_fixed_thresholds_are_not_config_keys(key):
 def test_control_step_is_not_a_config_key():
     with pytest.raises(ConfigError, match="unknown key episode.'dt'"):
         parse_config('{"episode": {"dt": 0.02}}')
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: EpisodeConfig(max_steps=0), "max_steps"),
+    (lambda: EpisodeConfig(object_height_range=(0.7, 0.2)), "object_height_range"),
+    (lambda: EpisodeConfig(base_offset_range=(1.5, 1.0)), "base_offset_range"),
+    (lambda: PPOConfig(num_envs=0), "num_envs"),
+    (lambda: PPOConfig(rollout_horizon=0), "rollout_horizon"),
+    (lambda: PPOConfig(minibatches=0), "minibatches"),
+    (lambda: PPOConfig(clip_ratio=1.0), "clip_ratio"),
+    (lambda: RewardWeights(move=-0.1), "move"),
+    (lambda: Observation(np.zeros(3), ObservationLayout.for_robot(gripper_bot())), "values"),
+])
+def test_dataclass_checks_raise_value_error_naming_the_field(make, field):
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
+def test_section_value_out_of_range_is_config_error():
+    with pytest.raises(ConfigError, match="episode: max_steps must be >= 1, got 0"):
+        parse_config('{"episode": {"max_steps": 0}}')
+    with pytest.raises(ConfigError, match="ppo: clip_ratio"):
+        parse_config('{"ppo": {"clip_ratio": 0.0}}')

@@ -272,7 +272,11 @@ def test_stored_chain_and_rotations_match_fresh_computation(robot):
         fresh = _wrist_chain(spec, state.q, state.base_anchor)
         for held, recomputed in zip(state.chain, fresh):
             np.testing.assert_array_equal(held, recomputed)
-        assert state.wrist_pose.rotation_matrix is state.chain[0]
+        # the chain is floats; the state converts its wrist once and the
+        # frames share that conversion
+        np.testing.assert_array_equal(state.wrist_pose.rotation_matrix, state.chain[0])
+        assert env.frames.wrist is state.wrist_pose
+        assert env.frames.palm.rotation_matrix is state.wrist_pose.rotation_matrix
         frames = [state.wrist_pose, env.frames.wrist, env.frames.palm,
                   *env.frames.hand_points]
         for frame in frames:

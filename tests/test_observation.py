@@ -176,3 +176,32 @@ def test_offline_rebuild_bit_exact():
             qdot=rec["qdot"], qddot=rec["qddot"], prev_action=rec["prev_action"])
         np.testing.assert_array_equal(rebuilt.values, rec["obs"])
         prev_frames = frames
+
+
+@pytest.mark.parametrize("robot,rotvec_calls", [(gripper_bot, 1), (hand_bot, 6)])
+def test_fingertips_turning_with_the_palm_reuse_its_rotation(robot, rotvec_calls, monkeypatch):
+    """A gripper fingertip holds the palm's rotation matrix: its rotation and
+    angular velocity entries are the palm's, and only the palm's angular
+    velocity (plus one per hand-bot fingertip) calls matrix_to_rotvec."""
+    import manibench.observation as obs_mod
+    env = make_env(robot(), seed=2)
+    env.reset(0)
+    controller = ScriptedController()
+    env.step(controller.action_for(env))
+    calls = []
+    monkeypatch.setattr(obs_mod, "matrix_to_rotvec",
+                        lambda m: calls.append(1) or geo.matrix_to_rotvec(m))
+    obs = obs_mod.build_observation(env)
+    assert len(calls) == rotvec_calls
+    n = env.robot_spec.n_hand_points
+    prop = env.layout.block(obs.values, "proprioception")
+    tip_rot = prop[12 + 3 * n:12 + 6 * n].reshape(n, 3)
+    tip_w = prop[12 + 9 * n:12 + 12 * n].reshape(n, 3)
+    for i, point in enumerate(env.frames.hand_points):
+        np.testing.assert_array_equal(tip_rot[i], geo.matrix_to_rotvec(point.rotation_matrix))
+        expected_w = geo.matrix_to_rotvec(
+            point.rotation_matrix @ env.prev_frames.hand_points[i].rotation_matrix.T) / DT
+        np.testing.assert_array_equal(tip_w[i], expected_w)
+    if robot is gripper_bot:
+        np.testing.assert_array_equal(tip_rot, np.tile(prop[3:6], (n, 1)))
+        np.testing.assert_array_equal(tip_w, np.tile(prop[9:12], (n, 1)))
