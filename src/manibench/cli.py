@@ -1,7 +1,9 @@
 """Command-line entry point: train / eval / gen-data / stats / replay.
 
 Exit codes: 0 success, 1 runtime error, 2 usage or config error. Reports go
-to stdout, diagnostics to stderr. MANIBENCH_WORKERS overrides --workers.
+to stdout, diagnostics to stderr. --workers sets the PPO rollout threads, so
+it matters to train only; MANIBENCH_WORKERS overrides it. gen-data records
+the scripted oracle on one process per CPU in its affinity mask.
 """
 from __future__ import annotations
 
@@ -37,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--skill", type=str, default=None)
         p.add_argument("--episodes", type=int, default=None)
         p.add_argument("--fixed-base", action="store_true", default=None)
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--workers", type=int, default=None,
+                       help="PPO rollout threads; train only")
         if name == "replay":
             p.add_argument("trajectory", type=str, help="recorded .mmt file")
     return parser
@@ -51,7 +54,11 @@ def _load_config(args) -> RunConfig:
     workers = args.workers
     env_workers = os.environ.get("MANIBENCH_WORKERS")
     if env_workers is not None:
-        workers = int(env_workers)
+        try:
+            workers = int(env_workers)
+        except ValueError:
+            raise ConfigError(
+                f"MANIBENCH_WORKERS must be an integer, got {env_workers!r}") from None
     return apply_overrides(
         cfg, seed=args.seed, out=args.out, robot=args.robot, task=args.task,
         skill=args.skill, episodes=args.episodes, fixed_base=args.fixed_base,

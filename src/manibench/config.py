@@ -37,6 +37,8 @@ class RunConfig:
     ppo: PPOConfig = field(default_factory=PPOConfig)
 
     def validate(self) -> "RunConfig":
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.robot not in ROBOTS:
             raise ConfigError(f"unknown robot {self.robot!r}; expected one of {sorted(ROBOTS)}")
         if self.task not in OBJECTS:
@@ -132,8 +134,8 @@ def parse_config(text: str) -> RunConfig:
             updates[key] = _coerce(key, value, scalar_defaults[key])
         else:
             raise ConfigError(f"unknown key {key!r}")
-    cfg = dataclasses.replace(cfg, **updates)
-    return _push_down(cfg, scalar_defaults.keys(), raw).validate()
+    cfg = dataclasses.replace(cfg, **updates).validate()
+    return _push_down(cfg, scalar_defaults.keys(), raw)
 
 
 def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:
@@ -141,4 +143,4 @@ def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:
     updates = {k: v for k, v in overrides.items() if v is not None}
     if not updates:
         return cfg
-    return _push_down(replace(cfg, **updates), updates.keys()).validate()
+    return _push_down(replace(cfg, **updates).validate(), updates.keys())

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -350,41 +352,96 @@ def task_dir_name(robot: str, object_name: str, skill: str) -> str:
     return f"{robot}__{skill}_{object_name}"
 
 
+def _record_unit(root: Path, policy, cells, episode_config: EpisodeConfig,
+                 retries: int, weights, unit) -> str | None:
+    """Record and write one trajectory unit `(cell index, relative path,
+    seed)`; returns the relative path, or None when every retry failed."""
+    cell, rel, traj_seed = unit
+    spec, task = cells[cell]
+    traj = record_rollout(policy, task, spec, episode_config, seed=traj_seed,
+                          retries=retries, weights=weights)
+    if traj is None:
+        return None
+    write(traj, root / rel)
+    return rel
+
+
+_worker_record = None   # a forked worker's recording function
+
+
+def _adopt_record(record) -> None:
+    global _worker_record
+    _worker_record = record
+
+
+def _worker_record_unit(unit):
+    return _worker_record(unit)
+
+
+def _pool_size(n_units: int) -> int:
+    """One recording process per CPU this process may run on."""
+    return min(len(os.sched_getaffinity(0)), n_units)
+
+
+def _map_units(record, units: list, processes: int) -> list:
+    """`record(unit)` for every unit, in unit order: in this process, or on
+    `processes` forked workers when that is more than one. Each unit is a
+    pure function of its seed, so the results do not depend on scheduling."""
+    if processes <= 1:
+        return [record(unit) for unit in units]
+    import multiprocessing   # only the parallel path pays for the import
+    # fork shares `record` without pickling and re-imports nothing; on an
+    # exception, leaving the block terminates the workers and joins them
+    with multiprocessing.get_context("fork").Pool(
+            processes, _adopt_record, (record,)) as pool:
+        results = list(pool.imap(_worker_record_unit, units, chunksize=1))
+        pool.close()
+        pool.join()
+    return results
+
+
 def generate_dataset(root, policy, tasks, trajectories_per_task: int,
                      episode_config: EpisodeConfig, seed: int = 0,
                      retries: int = 10, weights: RewardWeights | None = None,
                      log=None) -> dict:
     """Record trajectories for (robot, object, skill) triples; returns the
-    manifest dict (also written to root/manifest.json)."""
+    manifest dict (also written to root/manifest.json).
+
+    Trajectories are recorded on one process per available CPU. A network
+    policy (one with an `obs_dim`) records in this process: its BLAS threads
+    would contend across processes.
+    """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    manifest = {"version": 1, "frame_rate": FRAME_RATE, "tasks": []}
     seed_stride = 1000 * (retries + 1)
+    entries, cells, units = [], [], []
     for task_index, (robot_name, object_name, skill) in enumerate(tasks):
-        spec = make_robot(robot_name)
-        task = make_task(object_name, skill)
-        entry = {
+        spec, task = make_robot(robot_name), make_task(object_name, skill)
+        entries.append({
             "robot": robot_name, "object": object_name, "skill": skill,
             "instruction": task.instruction,
             "layout": ObservationLayout.for_robot(spec).to_dict(),
             "count": 0, "files": [], "failures": 0,
-        }
-        task_dir = root / task_dir_name(robot_name, object_name, skill)
+        })
+        cells.append((spec, task))
+        task_dir = task_dir_name(robot_name, object_name, skill)
         for k in range(trajectories_per_task):
-            traj_seed = seed + seed_stride * (task_index * trajectories_per_task + k)
-            traj = record_rollout(policy, task, spec, episode_config,
-                                  seed=traj_seed, retries=retries, weights=weights)
-            if traj is None:
-                entry["failures"] += 1
-                if log:
-                    log(f"generation failure: {robot_name} {skill} {object_name} "
-                        f"seed {traj_seed}")
-                continue
-            rel = f"{task_dir.name}/traj_{k:05d}{TRAJ_SUFFIX}"
-            write(traj, root / rel)
-            entry["files"].append(rel)
-            entry["count"] += 1
-        manifest["tasks"].append(entry)
+            units.append((task_index, f"{task_dir}/traj_{k:05d}{TRAJ_SUFFIX}",
+                          seed + seed_stride * (task_index * trajectories_per_task + k)))
+    record = partial(_record_unit, root, policy, cells, episode_config, retries, weights)
+    processes = 1 if hasattr(policy, "obs_dim") else _pool_size(len(units))
+    for (task_index, _, traj_seed), written in zip(
+            units, _map_units(record, units, processes)):
+        entry = entries[task_index]
+        if written is None:
+            entry["failures"] += 1
+            if log:
+                log(f"generation failure: {entry['robot']} {entry['skill']} "
+                    f"{entry['object']} seed {traj_seed}")
+            continue
+        entry["files"].append(written)
+        entry["count"] += 1
+    manifest = {"version": 1, "frame_rate": FRAME_RATE, "tasks": entries}
     (root / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1, sort_keys=True),
                                       encoding="utf-8")
     return manifest

@@ -58,7 +58,8 @@ class PPOConfig:
     target_kl: float = 0.05   # stop policy minibatch steps once KL exceeds this
 
     def __post_init__(self):
-        for name in ("num_envs", "rollout_horizon", "minibatches", "epochs_per_iter"):
+        for name in ("num_envs", "rollout_horizon", "minibatches", "epochs_per_iter",
+                     "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.clip_ratio < 1.0:

@@ -120,6 +120,30 @@ def test_workers_env_var_override(tmp_path, capsys, monkeypatch):
     assert code == 0  # env var wins silently; eval is single-env anyway
 
 
+def test_workers_env_var_not_an_integer_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("MANIBENCH_WORKERS", "abc")
+    code, _, err = run_cli(capsys, "eval", "--episodes", "1")
+    assert code == 2
+    assert "MANIBENCH_WORKERS must be an integer, got 'abc'" in err
+
+
+@pytest.mark.parametrize("argv", [("--workers", "0"), ("--workers", "-3")])
+def test_workers_below_one_exits_two(capsys, monkeypatch, argv):
+    monkeypatch.delenv("MANIBENCH_WORKERS", raising=False)
+    code, _, err = run_cli(capsys, "train", "--episodes", "1", *argv)
+    assert code == 2
+    assert "workers must be >= 1" in err
+
+
+def test_ppo_section_workers_below_one_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("MANIBENCH_WORKERS", raising=False)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"ppo": {"workers": 0}}))
+    code, _, err = run_cli(capsys, "train", "--config", str(cfg))
+    assert code == 2
+    assert "ppo: workers must be >= 1, got 0" in err
+
+
 def test_eval_checkpoint_of_unknown_robot_exits_one(tmp_path, capsys):
     from manibench import rl
     from manibench.robot import gripper_bot

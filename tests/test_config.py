@@ -108,6 +108,7 @@ def test_control_step_is_not_a_config_key():
     (lambda: PPOConfig(num_envs=0), "num_envs"),
     (lambda: PPOConfig(rollout_horizon=0), "rollout_horizon"),
     (lambda: PPOConfig(minibatches=0), "minibatches"),
+    (lambda: PPOConfig(workers=0), "workers"),
     (lambda: PPOConfig(clip_ratio=1.0), "clip_ratio"),
     (lambda: RewardWeights(move=-0.1), "move"),
     (lambda: Observation(np.zeros(3), ObservationLayout.for_robot(gripper_bot())), "values"),
@@ -122,3 +123,12 @@ def test_section_value_out_of_range_is_config_error():
         parse_config('{"episode": {"max_steps": 0}}')
     with pytest.raises(ConfigError, match="ppo: clip_ratio"):
         parse_config('{"ppo": {"clip_ratio": 0.0}}')
+
+
+def test_workers_below_one_is_config_error():
+    with pytest.raises(ConfigError, match="workers must be >= 1, got -3"):
+        apply_overrides(parse_config(""), workers=-3)
+    with pytest.raises(ConfigError, match="^workers must be >= 1, got 0"):
+        parse_config('{"workers": 0}')
+    with pytest.raises(ConfigError, match="ppo: workers must be >= 1, got 0"):
+        parse_config('{"ppo": {"workers": 0}}')

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -249,6 +251,108 @@ def test_stats_empty_dataset(tmp_path):
     assert st.counts == {}
     assert st.mean_length == 0.0
     assert st.histogram == {}
+
+
+# ---------------------------------------------------------------------------
+# generate_dataset on one process and on a pool: the same bytes
+# ---------------------------------------------------------------------------
+
+POOL_CELLS = [("gripper-bot", "laptop", "open"), ("gripper-bot", "table", "close"),
+              ("gripper-bot", "cart", "push"), ("hand-bot", "cabinet", "open"),
+              ("hand-bot", "faucet", "close"), ("hand-bot", "holistic", "pick")]
+
+
+def on_cpus(monkeypatch, cpus: int) -> None:
+    """Make generate_dataset size its pool as on a host with `cpus` CPUs."""
+    monkeypatch.setattr(ds, "_pool_size", lambda n_units: min(cpus, n_units))
+
+
+def dataset_bytes(root) -> dict:
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_pool_writes_the_serial_bytes(tmp_path, monkeypatch):
+    written = {}
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        root = tmp_path / f"cpus{cpus}"
+        ds.generate_dataset(root, ScriptedController(), POOL_CELLS,
+                            trajectories_per_task=3,
+                            episode_config=EpisodeConfig(seed=5), seed=5)
+        written[cpus] = dataset_bytes(root)
+    assert len(written[1]) == len(POOL_CELLS) * 3 + 1   # every file and the manifest
+    assert written[2] == written[1]
+
+
+def test_pool_failures_and_log_in_unit_order(tmp_path, monkeypatch):
+    runs = {}
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        lines = []
+        manifest = ds.generate_dataset(
+            tmp_path / f"cpus{cpus}", ScriptedController(), POOL_CELLS[:3],
+            trajectories_per_task=2, episode_config=EpisodeConfig(seed=0, max_steps=3),
+            seed=0, retries=0, log=lines.append)
+        runs[cpus] = ([entry["failures"] for entry in manifest["tasks"]], lines)
+    assert runs[1][0] == [2, 2, 2]
+    assert runs[2] == runs[1]
+    # unit order: cell by cell, k within a cell; the seeds rise with the unit index
+    assert [int(line.rsplit(" ", 1)[1]) for line in runs[1][1]] == \
+        [1000 * unit for unit in range(6)]
+
+
+class FailsOutsideParent(ScriptedController):
+    """A network-free policy whose every action fails in any other process."""
+
+    def __init__(self):
+        self.parent = os.getpid()
+
+    def deterministic_action(self, obs, env):
+        if os.getpid() != self.parent:
+            raise RuntimeError("no action outside the parent")
+        return super().deterministic_action(obs, env)
+
+
+def test_worker_exception_reraises_and_leaves_no_process(tmp_path, monkeypatch):
+    on_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="^no action outside the parent$"):
+        ds.generate_dataset(tmp_path, FailsOutsideParent(), POOL_CELLS[:2],
+                            trajectories_per_task=2,
+                            episode_config=EpisodeConfig(seed=0), seed=0)
+    assert multiprocessing.active_children() == []
+
+
+class NetworkLikePolicy(ScriptedController):
+    """Carries an `obs_dim`, the mark of a network policy."""
+
+    obs_dim = ObservationLayout.for_robot(gripper_bot()).total
+
+    def __init__(self):
+        self.pids = set()
+
+    def deterministic_action(self, obs, env):
+        self.pids.add(os.getpid())
+        return super().deterministic_action(obs, env)
+
+
+def test_network_policy_records_in_the_callers_process(tmp_path, monkeypatch):
+    on_cpus(monkeypatch, 2)
+    policy = NetworkLikePolicy()
+    manifest = ds.generate_dataset(tmp_path, policy, POOL_CELLS[:2],
+                                   trajectories_per_task=2,
+                                   episode_config=EpisodeConfig(seed=0), seed=0)
+    assert [entry["count"] for entry in manifest["tasks"]] == [2, 2]
+    assert policy.pids == {os.getpid()}
+
+
+def test_no_tasks_writes_an_empty_manifest(tmp_path, monkeypatch):
+    on_cpus(monkeypatch, 2)
+    manifest = ds.generate_dataset(tmp_path, ScriptedController(), [],
+                                   trajectories_per_task=3,
+                                   episode_config=EpisodeConfig(seed=0))
+    assert manifest["tasks"] == []
+    assert ds.read_manifest(tmp_path) == manifest
 
 
 def test_stats_missing_manifest(tmp_path):
