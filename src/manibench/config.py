@@ -37,8 +37,10 @@ class RunConfig:
     ppo: PPOConfig = field(default_factory=PPOConfig)
 
     def validate(self) -> "RunConfig":
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        for key, low in (("workers", 1), ("episodes", 1), ("trajectories", 1),
+                         ("retries", 0)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.robot not in ROBOTS:
             raise ConfigError(f"unknown robot {self.robot!r}; expected one of {sorted(ROBOTS)}")
         if self.task not in OBJECTS:

@@ -11,9 +11,11 @@ field order:
 
 Stored states are post-action snapshots indexed from 1; the reward in a block
 is recomputable from that same block's state and action. The header records
-the fixed grasp/success thresholds and control step `dt`; a file with other
-values is malformed. Recording and replay both step the env through
-`env.run_episode`, the one episode loop.
+values that are fixed in the code: the grasp/success thresholds, the control
+step `dt` and the reset distribution (`yaw_range`, `object_height_range`,
+`open_init_angle`, `close_init_range`); a file with other values is
+malformed, and `read` names the field. Recording and replay both step the
+env through `env.run_episode`, the one episode loop.
 Only successful episodes are stored. Images are not recorded; the header marks
 "sensors: none" for forward compatibility.
 """
@@ -28,7 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import Env, EpisodeConfig, run_episode
+from .env import (CLOSE_INIT_RANGE, OBJECT_HEIGHT_RANGE, OPEN_INIT_ANGLE, YAW_RANGE, Env,
+                  EpisodeConfig, run_episode)
 from .observation import ObservationLayout, check_policy_obs_dim
 from .reward import GRASP_THRESHOLD, SUCCESS_THRESHOLD, RewardWeights
 from .robot import DT, FRAME_RATE, RobotSpec, make_robot
@@ -113,7 +116,7 @@ def _object_state_row(state) -> np.ndarray:
     return row
 
 
-def _frame_row(env: Env, action: np.ndarray, obs, info: dict) -> dict:
+def _frame_row(env: Env, action: np.ndarray, obs: np.ndarray, info: dict) -> dict:
     """Every recorded field of the frame a step just produced: recording
     stores this row and replay compares it column by column."""
     robot = env.robot
@@ -129,8 +132,13 @@ def _frame_row(env: Env, action: np.ndarray, obs, info: dict) -> dict:
         "f_g": 1.0 if info["f_g"] else 0.0,
         "actions": action,
         "reward_terms": info["terms"].as_array(),
-        "observations": obs.values.copy(),
+        "observations": obs,
     }
+
+
+def _check_retries(retries: int) -> None:
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
 
 
 def record_rollout(policy, task: TaskSpec, robot_spec: RobotSpec,
@@ -141,6 +149,7 @@ def record_rollout(policy, task: TaskSpec, robot_spec: RobotSpec,
     Returns the successful trajectory, or None when retries are exhausted
     (the caller logs a generation failure).
     """
+    _check_retries(retries)
     check_policy_obs_dim(policy, robot_spec)
     weights = weights or RewardWeights()
     for attempt in range(retries + 1):
@@ -196,7 +205,9 @@ _WEIGHT_FIELDS = ("distance", "approach", "grasp", "move", "success",
                   "grasp_threshold", "success_threshold")
 # recorded in the header lines, fixed in the code
 _FIXED = {"dt": DT, "grasp_threshold": GRASP_THRESHOLD,
-          "success_threshold": SUCCESS_THRESHOLD}
+          "success_threshold": SUCCESS_THRESHOLD, "yaw_range": YAW_RANGE,
+          "object_height_range": OBJECT_HEIGHT_RANGE, "open_init_angle": OPEN_INIT_ANGLE,
+          "close_init_range": CLOSE_INIT_RANGE}
 
 
 def _header_json(obj, names) -> str:
@@ -277,6 +288,10 @@ def read(path) -> Trajectory:
         weights = _from_header_json(RewardWeights, "weights", fields["weights"],
                                     _WEIGHT_FIELDS)
         layout = json.loads(fields["layout"])
+        meta = {"robot": fields["robot"], "object_name": fields["object"],
+                "skill": fields["skill"], "instruction": fields["instruction"],
+                "seed": int(fields["seed"]), "episode": int(fields["episode"]),
+                "success": {"true": True, "false": False}[fields["success"]]}
     except (KeyError, ValueError, TypeError) as exc:
         raise MalformedTrajectory(f"malformed trajectory {path}: {exc}") from exc
 
@@ -302,19 +317,7 @@ def read(path) -> Trajectory:
         arrays[name] = chunk[:, 0].copy() if width == 1 and name in ("t", "f_g") \
             else chunk.copy()
         offset += width
-    return Trajectory(
-        robot=fields["robot"],
-        object_name=fields["object"],
-        skill=fields["skill"],
-        instruction=fields["instruction"],
-        seed=int(fields["seed"]),
-        episode=int(fields["episode"]),
-        success=fields["success"] == "true",
-        config=config,
-        weights=weights,
-        layout=layout,
-        **arrays,
-    )
+    return Trajectory(config=config, weights=weights, layout=layout, **meta, **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +414,7 @@ def generate_dataset(root, policy, tasks, trajectories_per_task: int,
     policy (one with an `obs_dim`) records in this process: its BLAS threads
     would contend across processes.
     """
+    _check_retries(retries)
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     seed_stride = 1000 * (retries + 1)

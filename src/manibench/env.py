@@ -1,17 +1,23 @@
 """Episode lifecycle: randomized reset, stepping, attachment, success.
 
 Reset places the object so its grasp point starts at x = y = 0 facing -y
-(tabletop families get a sampled height), then places the robot base in
+(tabletop families get a height drawn from `OBJECT_HEIGHT_RANGE`), sets its
+joint (`OPEN_INIT_ANGLE` above the lower limit to open, a fraction drawn from
+`CLOSE_INIT_RANGE` of the range to close), then places the robot base in
 front of it, facing the grasp point, with sampled positional offsets and a
-yaw perturbation. Stepping advances the robot, attaches/follows/detaches
-the object kinematically, and pays the shaped reward from the post-step
-state. The env owns the current grasp point (`Env.grasp`, moved only while
-the object is held) and takes the grasp flag from the reward's terms; attach
-and success use the reward module's fixed thresholds.
+yaw perturbation drawn from +-`YAW_RANGE`. These four constants fix the
+reset distribution; only the base offsets are settable. Stepping advances
+the robot, attaches/follows/detaches the object kinematically, and pays the
+shaped reward from the post-step state. The env owns the current grasp point
+(`Env.grasp`, moved only while the object is held) and takes the grasp flag
+from the reward's terms; attach and success use the reward module's fixed
+thresholds.
 
 The action is the float64 (6+D) vector [d_pos(3), d_rot(3), effector(D)]
 from the policy through the robot and the reward to the recorded file. One
 control step lasts `robot.DT` = 1 / `robot.FRAME_RATE`, fixed, not a setting.
+The observation is the float64 vector that `observation.build_observation`
+builds, fresh on every reset and step; its layout is `Env.layout`.
 `run_episode` is the one episode loop: evaluation, recording, replay and the
 scripted runner all step an `Env` through it (PPO's lockstep auto-resetting
 slots step `Env.step` directly).
@@ -22,6 +28,7 @@ execution order or worker count.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -65,6 +72,11 @@ _MASK64 = (1 << 64) - 1
 
 _DEFAULT_OFFSETS = (1.0, 1.5)
 _FIXED_BASE_OFFSETS = (0.5, 1.0)
+# the fixed reset distribution
+YAW_RANGE = math.radians(15.0)        # base yaw perturbation, +- radians
+OBJECT_HEIGHT_RANGE = (0.2, 0.7)      # tabletop object height, metres
+OPEN_INIT_ANGLE = math.radians(10.0)  # revolute "open" start above the lower limit
+CLOSE_INIT_RANGE = (0.4, 0.8)         # "close" start, fraction of the joint range
 
 
 class EpisodeFinished(RuntimeError):
@@ -83,10 +95,6 @@ class EpisodeConfig:
     seed: int = 0
     max_steps: int = 300
     base_offset_range: tuple | None = None   # None: (1.0,1.5), fixed-base (0.5,1.0)
-    yaw_range: float = np.deg2rad(15.0)
-    object_height_range: tuple = (0.2, 0.7)
-    open_init_angle: float = np.deg2rad(10.0)
-    close_init_range: tuple = (0.4, 0.8)
     fixed_base: bool = False
     # read-only views of the reward module's constants, not fields
     grasp_threshold: ClassVar[float] = GRASP_THRESHOLD
@@ -95,10 +103,9 @@ class EpisodeConfig:
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        for name in ("base_offset_range", "object_height_range", "close_init_range"):
-            rng = getattr(self, name)
-            if rng is not None and not rng[0] <= rng[1]:
-                raise ValueError(f"{name} must be (low, high) with low <= high, got {rng}")
+        rng = self.base_offset_range
+        if rng is not None and not (len(rng) == 2 and rng[0] <= rng[1]):
+            raise ValueError(f"base_offset_range must be (low, high) with low <= high, got {rng}")
 
     @property
     def effective_offsets(self) -> tuple:
@@ -107,18 +114,17 @@ class EpisodeConfig:
         return _FIXED_BASE_OFFSETS if self.fixed_base else _DEFAULT_OFFSETS
 
 
-def _initial_joint_value(obj, skill: str, config: EpisodeConfig,
-                         rng: np.random.Generator) -> float:
+def _initial_joint_value(obj, skill: str, rng: np.random.Generator) -> float:
     if not obj.articulated:
         return 0.0
     lo, hi = obj.joint_range
     if skill == "open":
         if obj.kind == "revolute":
-            return min(lo + config.open_init_angle, hi)
+            return min(lo + OPEN_INIT_ANGLE, hi)
         # prismatic "10 degree equivalent": 10/90 of the range
         return lo + (10.0 / 90.0) * (hi - lo)
     if skill == "close":
-        frac = rng.uniform(config.close_init_range[0], config.close_init_range[1])
+        frac = rng.uniform(CLOSE_INIT_RANGE[0], CLOSE_INIT_RANGE[1])
         return lo + frac * (hi - lo)
     return lo
 
@@ -140,7 +146,7 @@ class Env:
     # reset
     # ------------------------------------------------------------------
 
-    def reset(self, episode: int = 0) -> obs_mod.Observation:
+    def reset(self, episode: int = 0) -> np.ndarray:
         config = self.config
         skill = self._template.skill
         template = self._template.object
@@ -150,8 +156,8 @@ class Env:
 
         # Object: sample height (tabletop), set the initial joint, then place
         # so the grasp point starts at the world origin in x-y.
-        height = float(rng_obj.uniform(*config.object_height_range)) if template.tabletop else 0.0
-        q_init = _initial_joint_value(template, skill, config, rng_joint)
+        height = float(rng_obj.uniform(*OBJECT_HEIGHT_RANGE)) if template.tabletop else 0.0
+        q_init = _initial_joint_value(template, skill, rng_joint)
         probe = initial_state(template, q_init)
         g_local = grasp_point(template, probe)
         placed = template.placed_at(
@@ -163,7 +169,7 @@ class Env:
         lo, hi = config.effective_offsets
         dx = float(rng_base.uniform(lo, hi)) * (1.0 if rng_base.uniform() < 0.5 else -1.0)
         dy = -float(rng_base.uniform(lo, hi))
-        yaw_perturb = float(rng_base.uniform(-config.yaw_range, config.yaw_range))
+        yaw_perturb = float(rng_base.uniform(-YAW_RANGE, YAW_RANGE))
         self.grasp = grasp_point(placed, self.object_state)
         heading = np.array([self.grasp[0] - dx, self.grasp[1] - dy])
         heading = heading / np.linalg.norm(heading)
@@ -193,7 +199,7 @@ class Env:
     # ------------------------------------------------------------------
 
     def step(self, action, weights: RewardWeights | None = None):
-        """Advance one control step; returns (obs, reward, done, info)."""
+        """Advance one control step; returns (obs vector, reward, done, info)."""
         if self.done:
             raise EpisodeFinished("episode finished")
         weights = weights or RewardWeights()
@@ -260,10 +266,10 @@ class Env:
 
 def run_episode(env: Env, act, episode: int, weights: RewardWeights | None = None):
     """The one episode loop: reset `env` to `episode`, then step it with
-    `act(obs_values, env)` until the episode is done, yielding
+    `act(obs, env)` until the episode is done, yielding
     (action, obs, info) after every step."""
     obs = env.reset(episode)
     while not env.done:
-        action = np.asarray(act(obs.values, env), dtype=np.float64)
+        action = np.asarray(act(obs, env), dtype=np.float64)
         obs, _, _, info = env.step(action, weights)
         yield action, obs, info

@@ -14,8 +14,14 @@ Block layout, in order:
   previous_action   6+D
 
 Positions are world-frame; velocities are finite differences of consecutive
-frames (zero on the first frame after reset). No normalization or whitening
-is applied, so offline recomputation from recorded states is bit-exact.
+frames over the fixed control step `robot.DT` (zero on the first frame after
+reset). No normalization or whitening is applied, so offline recomputation
+from recorded states is bit-exact.
+
+The observation is this float64 vector end to end: `Env.reset`/`Env.step`
+return it, the policy, PPO's rollout batch and the `.mmt` writer read it.
+Its block layout belongs to the env (`Env.layout`); `assemble` is the one
+place that checks the vector's length against it.
 """
 from __future__ import annotations
 
@@ -84,17 +90,6 @@ def check_policy_obs_dim(policy, spec: RobotSpec) -> None:
             f"policy expects obs dim {policy.obs_dim}, robot {spec.name} produces {obs_dim}")
 
 
-@dataclass
-class Observation:
-    values: np.ndarray
-    layout: ObservationLayout
-
-    def __post_init__(self):
-        if self.values.shape != (self.layout.total,):
-            raise ValueError(f"values must have shape ({self.layout.total},), "
-                             f"got {self.values.shape}")
-
-
 def time_embedding(t: int, max_steps: int) -> np.ndarray:
     """15 interleaved (sin, cos) pairs of 2*pi*k*t/T for k = 1..15."""
     if not 0 <= t <= max_steps:
@@ -108,22 +103,22 @@ def time_embedding(t: int, max_steps: int) -> np.ndarray:
     return out
 
 
-def _frame_velocities(frames: KinematicFrames, prev: KinematicFrames | None,
-                      dt: float):
-    """Finite-difference palm/fingertip velocities; zeros with no history."""
+def _frame_velocities(frames: KinematicFrames, prev: KinematicFrames | None):
+    """Finite-difference palm/fingertip velocities over one control step
+    `DT`; zeros with no history."""
     n = len(frames.hand_points)
     if prev is None:
         return np.zeros(3), np.zeros(3), np.zeros((n, 3)), np.zeros((n, 3))
-    palm_v = (frames.palm.translation - prev.palm.translation) / dt
-    palm_w = _angular_velocity(frames.palm, prev.palm, dt)
+    palm_v = (frames.palm.translation - prev.palm.translation) / DT
+    palm_w = _angular_velocity(frames.palm, prev.palm)
     tips_v = np.empty((n, 3))
     tips_w = np.empty((n, 3))
     for i, (now_point, prev_point) in enumerate(zip(frames.hand_points, prev.hand_points)):
-        tips_v[i] = (now_point.translation - prev_point.translation) / dt
+        tips_v[i] = (now_point.translation - prev_point.translation) / DT
         if _turns_with_palm(now_point, frames) and _turns_with_palm(prev_point, prev):
             tips_w[i] = palm_w    # the same two matrices as the palm's
         else:
-            tips_w[i] = _angular_velocity(now_point, prev_point, dt)
+            tips_w[i] = _angular_velocity(now_point, prev_point)
     return palm_v, palm_w, tips_v, tips_w
 
 
@@ -134,18 +129,19 @@ def _turns_with_palm(point, frames: KinematicFrames) -> bool:
     return point.rotation_matrix is frames.palm.rotation_matrix
 
 
-def _angular_velocity(now, prev, dt: float) -> np.ndarray:
-    """rotvec(R_t @ R_{t-1}^T) / dt: the world-frame rotation over one step."""
-    return matrix_to_rotvec(now.rotation_matrix @ prev.rotation_matrix.T) / dt
+def _angular_velocity(now, prev) -> np.ndarray:
+    """rotvec(R_t @ R_{t-1}^T) / DT: the world-frame rotation over one step."""
+    return matrix_to_rotvec(now.rotation_matrix @ prev.rotation_matrix.T) / DT
 
 
-def assemble(layout: ObservationLayout, *, t: int, max_steps: int, dt: float,
+def assemble(layout: ObservationLayout, *, t: int, max_steps: int,
              grasp: np.ndarray, movable_rotation: np.ndarray, goal: np.ndarray,
              frames: KinematicFrames, prev_frames: KinematicFrames | None,
              q: np.ndarray, qdot: np.ndarray, qddot: np.ndarray,
-             prev_action: np.ndarray) -> Observation:
-    """Build the observation from explicit state pieces (offline-replayable)."""
-    palm_v, palm_w, tips_v, tips_w = _frame_velocities(frames, prev_frames, dt)
+             prev_action: np.ndarray) -> np.ndarray:
+    """Build the observation vector from explicit state pieces
+    (offline-replayable); ValueError unless it has `layout.total` entries."""
+    palm_v, palm_w, tips_v, tips_w = _frame_velocities(frames, prev_frames)
     palm = frames.palm
     tips = frames.hand_positions
 
@@ -166,18 +162,17 @@ def assemble(layout: ObservationLayout, *, t: int, max_steps: int, dt: float,
     ]
     values = np.concatenate(parts).astype(np.float64)
     if values.shape != (layout.total,):
-        raise AssertionError(
+        raise ValueError(
             f"observation assembled {values.shape[0]} entries, layout wants {layout.total}")
-    return Observation(values=values, layout=layout)
+    return values
 
 
-def build_observation(env: "Env") -> Observation:
-    """Observation for the environment's current state."""
+def build_observation(env: "Env") -> np.ndarray:
+    """Observation vector for the environment's current state."""
     return assemble(
         env.layout,
         t=env.t,
         max_steps=env.config.max_steps,
-        dt=DT,
         grasp=env.grasp,
         movable_rotation=movable_frame(env.task.object, env.object_state).rotation,
         goal=env.task.goal_point,

@@ -287,7 +287,7 @@ class EnvSlot:
         if done:
             finished = (self.return_acc, self.env.success, self.length_acc)
             if not self.env.success:
-                timeout_obs = obs.values  # step-limit truncation, not terminal
+                timeout_obs = obs  # step-limit truncation, not terminal
             self.return_acc = 0.0
             self.length_acc = 0
             obs = self.env.reset(self._episode_id())
@@ -322,7 +322,7 @@ def collect_rollouts(slots, policy: GaussianPolicy, value_net: Mlp, horizon: int
     truncations = []  # (slot index, t, terminal observation)
     try:
         for t in range(horizon):
-            obs_mat = np.stack([slot.obs.values for slot in slots])
+            obs_mat = np.stack([slot.obs for slot in slots])
             means = policy.mean(obs_mat)
             values = value_forward(value_net, policy, obs_mat)
             # noise drawn in slot order from per-slot streams: worker-count
@@ -356,7 +356,7 @@ def collect_rollouts(slots, policy: GaussianPolicy, value_net: Mlp, horizon: int
     finally:
         if own_pool is not None:
             own_pool.shutdown()
-    final_obs = np.stack([slot.obs.values for slot in slots])
+    final_obs = np.stack([slot.obs for slot in slots])
     batch.bootstrap = value_forward(value_net, policy, final_obs)
     batch.timeout_values = np.zeros_like(batch.rewards)
     if truncations:

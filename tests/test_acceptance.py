@@ -41,7 +41,7 @@ def test_criterion_1_observation_dimensions():
         assert layout.total == expected
         env = Env(EpisodeConfig(seed=0), w.make_task("laptop", "open"), spec)
         obs = env.reset(0)
-        assert obs.values.shape == (expected,)
+        assert obs.shape == (expected,)
     _report(1, "observation lengths exactly 146 (gripper) / 223 (hand)")
 
 

@@ -60,3 +60,23 @@ def test_tracer_sees_every_wrist_chain_call(spans):
     assert metrics["robot.ik_solve.chain_calls_per_call"] >= 1
     assert metrics["robot.wrist_chain.calls_per_step"] >= 2
     assert chain is new_state.chain and new_state.ik_warning is False
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+    return workloads
+
+
+def test_every_workload_runs_one_correct_round(workloads, tmp_path):
+    """One untimed round of each benchmark workload, with its own output
+    checks: a change to the API the benchmark calls (`PPOConfig`,
+    `collect_rollouts`, `make_slots`, `generate_dataset`, `evaluate`,
+    checkpoints) fails here rather than in a benchmark run."""
+    for name, cls in workloads.WORKLOADS.items():
+        workload = cls(seed=0, out=tmp_path / name)
+        workload.setup()
+        result = workload.run_round(0)   # raises CheckFailed on a wrong output
+        assert result.failed == 0 and result.errors == [], (name, result.errors)
+        assert result.attempted > 0 and result.steps > 0, name

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -127,12 +128,21 @@ def test_workers_env_var_not_an_integer_exits_two(capsys, monkeypatch):
     assert "MANIBENCH_WORKERS must be an integer, got 'abc'" in err
 
 
-@pytest.mark.parametrize("argv", [("--workers", "0"), ("--workers", "-3")])
-def test_workers_below_one_exits_two(capsys, monkeypatch, argv):
+@pytest.mark.parametrize("argv,message", [
+    (("train", "--workers", "0"), "workers must be >= 1, got 0"),
+    (("train", "--workers", "-3"), "workers must be >= 1, got -3"),
+    (("eval", "--episodes", "0"), "episodes must be >= 1, got 0"),
+    (("gen-data", "--config", {"trajectories": -3}), "trajectories must be >= 1, got -3"),
+    (("gen-data", "--config", {"retries": -1, "trajectories": 2}),
+     "retries must be >= 0, got -1"),
+])
+def test_count_out_of_range_exits_two(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.delenv("MANIBENCH_WORKERS", raising=False)
-    code, _, err = run_cli(capsys, "train", "--episodes", "1", *argv)
+    argv = [str(_cfg(tmp_path, a)) if isinstance(a, dict) else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
     assert code == 2
-    assert "workers must be >= 1" in err
+    assert f"config error: {message}" in err
+    assert out == "" and not (tmp_path / "out").exists()
 
 
 def test_ppo_section_workers_below_one_exits_two(tmp_path, capsys, monkeypatch):
@@ -183,6 +193,16 @@ def test_config_threshold_key_exits_two(tmp_path, capsys):
     code, out, err = run_cli(capsys, "eval", "--episodes", "1", "--config", str(cfg))
     assert code == 2
     assert "grasp_threshold" in err
+    assert "success_rate" not in out
+
+
+@pytest.mark.parametrize("key", ["yaw_range", "object_height_range",
+                                 "open_init_angle", "close_init_range"])
+def test_config_reset_distribution_key_exits_two(tmp_path, capsys, key):
+    cfg = _cfg(tmp_path, {"episode": {key: 0.1}})
+    code, out, err = run_cli(capsys, "eval", "--episodes", "1", "--config", str(cfg))
+    assert code == 2
+    assert f"unknown key episode.'{key}'" in err
     assert "success_rate" not in out
 
 
@@ -263,6 +283,12 @@ _MMT_EDITS = {
     "truncated": (lambda data: data[:-100], "byte offset"),
     "frames_not_integer": (lambda data: data.replace(b"\nframes: ", b"\nframes: x", 1),
                            "invalid literal for int()"),
+    "seed_not_integer": (lambda data: data.replace(b"\nseed: ", b"\nseed: x", 1),
+                         "invalid literal for int()"),
+    "success_not_boolean": (lambda data: data.replace(b"\nsuccess: true", b"\nsuccess: yes", 1),
+                            "'yes'"),
+    "robot_missing": (lambda data: re.sub(rb"\nrobot: [^\n]*", b"", data, count=1),
+                      "'robot'"),
     "grasp_threshold_edited": (
         lambda data: data.replace(_threshold_hex(0.1), _threshold_hex(0.05), 1),
         "'grasp_threshold'"),

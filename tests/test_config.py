@@ -1,12 +1,9 @@
-import numpy as np
 import pytest
 
 from manibench.config import ConfigError, RunConfig, apply_overrides, parse_config
 from manibench.env import EpisodeConfig
-from manibench.observation import Observation, ObservationLayout
 from manibench.reward import RewardWeights
 from manibench.rl import PPOConfig
-from manibench.robot import gripper_bot
 
 
 def test_empty_document_gives_defaults():
@@ -90,7 +87,9 @@ def test_apply_overrides_none_is_noop():
     assert apply_overrides(cfg, seed=None, out=None) == cfg
 
 
-@pytest.mark.parametrize("key", ["grasp_threshold", "success_threshold"])
+@pytest.mark.parametrize("key", ["grasp_threshold", "success_threshold",
+                                 "yaw_range", "object_height_range",
+                                 "open_init_angle", "close_init_range"])
 def test_fixed_thresholds_are_not_config_keys(key):
     with pytest.raises(ConfigError, match=f"unknown key episode.'{key}'"):
         parse_config(f'{{"episode": {{"{key}": 0.05}}}}')
@@ -103,15 +102,18 @@ def test_control_step_is_not_a_config_key():
 
 @pytest.mark.parametrize("make,field", [
     (lambda: EpisodeConfig(max_steps=0), "max_steps"),
-    (lambda: EpisodeConfig(object_height_range=(0.7, 0.2)), "object_height_range"),
     (lambda: EpisodeConfig(base_offset_range=(1.5, 1.0)), "base_offset_range"),
+    (lambda: EpisodeConfig(base_offset_range=(1.0,)), "base_offset_range"),
+    (lambda: EpisodeConfig(base_offset_range=(1.0, 1.2, 5.0)), "base_offset_range"),
     (lambda: PPOConfig(num_envs=0), "num_envs"),
     (lambda: PPOConfig(rollout_horizon=0), "rollout_horizon"),
     (lambda: PPOConfig(minibatches=0), "minibatches"),
     (lambda: PPOConfig(workers=0), "workers"),
     (lambda: PPOConfig(clip_ratio=1.0), "clip_ratio"),
     (lambda: RewardWeights(move=-0.1), "move"),
-    (lambda: Observation(np.zeros(3), ObservationLayout.for_robot(gripper_bot())), "values"),
+    (lambda: RunConfig(episodes=0).validate(), "episodes must be >= 1, got 0"),
+    (lambda: RunConfig(trajectories=-3).validate(), "trajectories must be >= 1, got -3"),
+    (lambda: RunConfig(retries=-1, trajectories=2).validate(), "retries must be >= 0, got -1"),
 ])
 def test_dataclass_checks_raise_value_error_naming_the_field(make, field):
     with pytest.raises(ValueError, match=field):
@@ -123,6 +125,8 @@ def test_section_value_out_of_range_is_config_error():
         parse_config('{"episode": {"max_steps": 0}}')
     with pytest.raises(ConfigError, match="ppo: clip_ratio"):
         parse_config('{"ppo": {"clip_ratio": 0.0}}')
+    with pytest.raises(ConfigError, match="episode: base_offset_range must be"):
+        parse_config('{"episode": {"base_offset_range": [1.0]}}')
 
 
 def test_workers_below_one_is_config_error():

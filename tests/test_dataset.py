@@ -48,6 +48,19 @@ def test_record_zero_retries_null_policy_returns_none():
     assert out is None
 
 
+def test_negative_retries_is_value_error(tmp_path):
+    """At retries = -1 the seed stride 1000*(retries+1) is 0: every
+    trajectory would share one seed and make no attempt."""
+    with pytest.raises(ValueError, match="retries must be >= 0, got -1"):
+        ds.record_rollout(ScriptedController(), w.make_task("laptop", "open"),
+                          gripper_bot(), EpisodeConfig(), seed=0, retries=-1)
+    with pytest.raises(ValueError, match="retries must be >= 0, got -1"):
+        ds.generate_dataset(tmp_path / "data", ScriptedController(),
+                            [("gripper-bot", "laptop", "open")], 2, EpisodeConfig(),
+                            retries=-1)
+    assert not (tmp_path / "data").exists()
+
+
 def test_recorded_flag_recomputable_from_states(lid_trajectory):
     traj = lid_trajectory
     layout = ObservationLayout.for_robot(gripper_bot())
@@ -162,12 +175,20 @@ def edit_header_line(path, line, key, value):
 @pytest.mark.parametrize("line,key", [("config", "grasp_threshold"),
                                       ("config", "success_threshold"),
                                       ("weights", "grasp_threshold"),
-                                      ("weights", "success_threshold")])
+                                      ("weights", "success_threshold"),
+                                      ("config", "yaw_range"),
+                                      ("config", "object_height_range"),
+                                      ("config", "open_init_angle"),
+                                      ("config", "close_init_range")])
 def test_header_threshold_other_than_fixed_is_malformed(tmp_path, lid_trajectory,
                                                         line, key):
     path = tmp_path / "a.mmt"
     ds.write(lid_trajectory, path)
-    edit_header_line(path, line, key, {"hex": (0.075).hex()})
+    if key in ("object_height_range", "close_init_range"):
+        other = [{"hex": (0.3).hex()}, {"hex": (0.6).hex()}]
+    else:
+        other = {"hex": (0.075).hex()}
+    edit_header_line(path, line, key, other)
     with pytest.raises(ds.MalformedTrajectory, match=f"{line} field '{key}'"):
         ds.read(path)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -7,7 +8,17 @@ from manibench import geometry as geo
 from manibench import world as w
 from manibench.control import ScriptedController, run_scripted_episode
 from manibench.dataset import record_rollout, replay_trajectory
-from manibench.env import Env, EpisodeConfig, EpisodeFinished, episode_rng, run_episode
+from manibench.env import (
+    CLOSE_INIT_RANGE,
+    OBJECT_HEIGHT_RANGE,
+    OPEN_INIT_ANGLE,
+    YAW_RANGE,
+    Env,
+    EpisodeConfig,
+    EpisodeFinished,
+    episode_rng,
+    run_episode,
+)
 from manibench.reward import (
     GRASP_THRESHOLD,
     SUCCESS_THRESHOLD,
@@ -30,16 +41,40 @@ def make_env(object_name="laptop", skill="open", robot=None, **cfg):
 def test_reset_same_seed_bit_identical():
     e1, e2 = make_env(seed=7), make_env(seed=7)
     o1, o2 = e1.reset(3), e2.reset(3)
-    np.testing.assert_array_equal(o1.values, o2.values)
+    np.testing.assert_array_equal(o1, o2)
     np.testing.assert_array_equal(e1.robot.q, e2.robot.q)
     np.testing.assert_array_equal(e1.task.goal_point, e2.task.goal_point)
     assert e1.object_state.joint_value == e2.object_state.joint_value
 
 
+@pytest.mark.parametrize("robot", ["gripper-bot", "hand-bot"])
+def test_reset_and_step_return_a_fresh_float64_vector(robot):
+    env = Env(EpisodeConfig(seed=0, max_steps=4), w.make_task("laptop", "open"),
+              make_robot(robot))
+    seen = [env.reset(0)]
+    while not env.done:
+        seen.append(env.step(np.zeros(env.robot_spec.action_dim))[0])
+    for obs in seen:
+        assert type(obs) is np.ndarray and obs.dtype == np.float64
+        assert obs.shape == (env.layout.total,)
+    assert len({id(obs) for obs in seen}) == len(seen) == 5
+
+
+def test_reset_distribution_is_fixed_not_config_fields():
+    for name in ("yaw_range", "object_height_range", "open_init_angle", "close_init_range"):
+        with pytest.raises(TypeError, match=name):
+            EpisodeConfig(**{name: 0.1})
+        assert not hasattr(EpisodeConfig(), name)
+    assert [f.name for f in dataclasses.fields(EpisodeConfig)] == [
+        "seed", "max_steps", "base_offset_range", "fixed_base"]
+    assert (YAW_RANGE, OPEN_INIT_ANGLE) == (np.deg2rad(15.0), np.deg2rad(10.0))
+    assert (OBJECT_HEIGHT_RANGE, CLOSE_INIT_RANGE) == ((0.2, 0.7), (0.4, 0.8))
+
+
 def test_reset_different_episodes_differ():
     env = make_env(seed=7)
-    o1 = env.reset(0).values.copy()
-    o2 = env.reset(1).values.copy()
+    o1 = env.reset(0)
+    o2 = env.reset(1)
     assert not np.array_equal(o1, o2)
 
 
@@ -306,14 +341,14 @@ _CELLS = [(robot, name, skill) for robot in ("gripper-bot", "hand-bot")
 def test_step_facts_agree_in_every_cell(robot, name, skill):
     env = Env(EpisodeConfig(seed=0), w.make_task(name, skill), make_robot(robot))
     obs = env.reset(0)
-    start = obs.layout.slices()["object_state"].start
+    start = env.layout.slices()["object_state"].start
     grasp_slot = slice(start, start + 3)
-    np.testing.assert_array_equal(obs.values[grasp_slot], env.grasp)
+    np.testing.assert_array_equal(obs[grasp_slot], env.grasp)
     controller = ScriptedController()
     while not env.done:
         obs, _, _, info = env.step(controller.action_for(env))
         assert info["f_g"] == info["terms"].f_g
-        np.testing.assert_array_equal(obs.values[grasp_slot], info["grasp_point"])
+        np.testing.assert_array_equal(obs[grasp_slot], info["grasp_point"])
         # the kept grasp point is the one the post-step state yields
         np.testing.assert_array_equal(
             info["grasp_point"], w.grasp_point(env.task.object, env.object_state))
@@ -385,5 +420,5 @@ def test_run_episode_yields_each_step():
     for action, obs, info in run_episode(env, lambda obs, env: np.zeros(7), 2):
         seen.append(env.t)
         assert action.dtype == np.float64 and action.shape == (7,)
-        assert "terms" in info and obs.values.shape == (146,)
+        assert "terms" in info and obs.shape == (146,)
     assert seen == [1, 2, 3, 4, 5] and env.episode == 2 and env.done

@@ -5,7 +5,12 @@ from manibench import geometry as geo
 from manibench import world as w
 from manibench.control import ScriptedController
 from manibench.env import Env, EpisodeConfig
-from manibench.observation import ObservationLayout, assemble, time_embedding
+from manibench.observation import (
+    ObservationLayout,
+    assemble,
+    build_observation,
+    time_embedding,
+)
 from manibench.robot import DT, forward_kinematics, gripper_bot, hand_bot
 
 
@@ -68,8 +73,8 @@ def test_hand_length_223():
 def test_built_observation_length(robot, expected):
     env = make_env(robot(), seed=1)
     obs = env.reset(0)
-    assert obs.values.shape == (expected,)
-    assert np.all(np.isfinite(obs.values))
+    assert obs.shape == (expected,)
+    assert np.all(np.isfinite(obs))
 
 
 # ---------------------------------------------------------------------------
@@ -79,24 +84,24 @@ def test_built_observation_length(robot, expected):
 def test_first_frame_velocities_and_prev_action_zero():
     env = make_env(gripper_bot(), seed=2)
     obs = env.reset(0)
-    sl = obs.layout.slices()
-    prop = obs.values[sl["proprioception"]]
+    sl = env.layout.slices()
+    prop = obs[sl["proprioception"]]
     # palm linvel/angvel
     np.testing.assert_array_equal(prop[6:12], np.zeros(6))
     # fingertip linvels/angvels (after 12 palm + 9 pos + 9 rot)
     np.testing.assert_array_equal(prop[30:48], np.zeros(18))
     # joint velocities/accelerations
     np.testing.assert_array_equal(prop[58:78], np.zeros(20))
-    np.testing.assert_array_equal(obs.values[sl["previous_action"]], np.zeros(7))
+    np.testing.assert_array_equal(obs[sl["previous_action"]], np.zeros(7))
 
 
 def test_distance_entry_zero_is_singleton_chamfer():
     env = make_env(gripper_bot(), seed=3)
     obs = env.reset(0)
-    sl = obs.layout.slices()
+    sl = env.layout.slices()
     palm = env.frames.palm.translation
     grasp = w.grasp_point(env.task.object, env.object_state)
-    assert obs.values[sl["distance"]][0] == geo.chamfer(palm[None], grasp[None])
+    assert obs[sl["distance"]][0] == geo.chamfer(palm[None], grasp[None])
 
 
 def test_displacement_subblock_exact():
@@ -104,8 +109,8 @@ def test_displacement_subblock_exact():
     obs = env.reset(0)
     for _ in range(3):
         obs, _, _, _ = env.step(np.zeros(7))
-    sl = obs.layout.slices()
-    dist = obs.values[sl["distance"]]
+    sl = env.layout.slices()
+    dist = obs[sl["distance"]]
     palm = env.frames.palm.translation
     grasp = w.grasp_point(env.task.object, env.object_state)
     np.testing.assert_array_equal(dist[-3:], grasp - palm)
@@ -114,7 +119,7 @@ def test_displacement_subblock_exact():
 def test_object_block_holds_grasp_goal():
     env = make_env(gripper_bot(), seed=5)
     obs = env.reset(0)
-    block = obs.values[obs.layout.slices()["object_state"]]
+    block = obs[env.layout.slices()["object_state"]]
     np.testing.assert_array_equal(block[0:3],
                                   w.grasp_point(env.task.object, env.object_state))
     np.testing.assert_array_equal(block[6:9], env.task.goal_point)
@@ -127,7 +132,7 @@ def test_velocities_are_finite_differences():
     action = np.zeros(7)
     action[1] = 0.02
     obs, _, _, _ = env.step(action)
-    prop = obs.values[obs.layout.slices()["proprioception"]]
+    prop = obs[env.layout.slices()["proprioception"]]
     expected = (env.frames.palm.translation - prev_palm) / DT
     np.testing.assert_array_equal(prop[6:9], expected)
 
@@ -136,9 +141,9 @@ def test_time_block_advances_with_steps():
     env = make_env(gripper_bot(), seed=7)
     obs0 = env.reset(0)
     obs1, _, _, _ = env.step(np.zeros(7))
-    sl = obs0.layout.slices()["time"]
-    np.testing.assert_array_equal(obs0.values[sl], time_embedding(0, 300))
-    np.testing.assert_array_equal(obs1.values[sl], time_embedding(1, 300))
+    sl = env.layout.slices()["time"]
+    np.testing.assert_array_equal(obs0[sl], time_embedding(0, 300))
+    np.testing.assert_array_equal(obs1[sl], time_embedding(1, 300))
 
 
 def test_offline_rebuild_bit_exact():
@@ -155,7 +160,7 @@ def test_offline_rebuild_bit_exact():
     while not env.done and env.t < 40:
         obs, _, _, info = env.step(controller.action_for(env))
         recorded.append({
-            "obs": obs.values.copy(),
+            "obs": obs,
             "q": env.robot.q.copy(),
             "qdot": env.robot.qdot.copy(),
             "qddot": env.robot.qddot.copy(),
@@ -170,12 +175,25 @@ def test_offline_rebuild_bit_exact():
     for i, rec in enumerate(recorded):
         frames = forward_kinematics(robot, rec["q"], anchor)
         rebuilt = assemble(
-            layout, t=rec["t"], max_steps=300, dt=DT,
+            layout, t=rec["t"], max_steps=300,
             grasp=rec["grasp"], movable_rotation=rec["movable_rot"], goal=goal,
             frames=frames, prev_frames=prev_frames, q=rec["q"],
             qdot=rec["qdot"], qddot=rec["qddot"], prev_action=rec["prev_action"])
-        np.testing.assert_array_equal(rebuilt.values, rec["obs"])
+        np.testing.assert_array_equal(rebuilt, rec["obs"])
         prev_frames = frames
+
+
+def test_assemble_rejects_a_layout_of_another_width():
+    env = make_env(gripper_bot(), seed=9)
+    env.reset(0)
+    pieces = dict(
+        t=0, max_steps=300, grasp=env.grasp,
+        movable_rotation=w.movable_frame(env.task.object, env.object_state).rotation,
+        goal=env.task.goal_point, frames=env.frames, prev_frames=None, q=env.robot.q,
+        qdot=env.robot.qdot, qddot=env.robot.qddot, prev_action=env.robot.prev_action)
+    np.testing.assert_array_equal(assemble(env.layout, **pieces), build_observation(env))
+    with pytest.raises(ValueError, match="assembled 146 entries, layout wants 223"):
+        assemble(ObservationLayout.for_robot(hand_bot()), **pieces)
 
 
 @pytest.mark.parametrize("robot,rotvec_calls", [(gripper_bot, 1), (hand_bot, 6)])
@@ -194,7 +212,7 @@ def test_fingertips_turning_with_the_palm_reuse_its_rotation(robot, rotvec_calls
     obs = obs_mod.build_observation(env)
     assert len(calls) == rotvec_calls
     n = env.robot_spec.n_hand_points
-    prop = env.layout.block(obs.values, "proprioception")
+    prop = env.layout.block(obs, "proprioception")
     tip_rot = prop[12 + 3 * n:12 + 6 * n].reshape(n, 3)
     tip_w = prop[12 + 9 * n:12 + 12 * n].reshape(n, 3)
     for i, point in enumerate(env.frames.hand_points):
