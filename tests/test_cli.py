@@ -258,6 +258,22 @@ def test_eval_truncated_checkpoint_exits_one(tmp_path, capsys):
     assert "success_rate" not in out
 
 
+def test_eval_checkpoint_whose_nets_do_not_fit_its_robot_exits_one(tmp_path, capsys):
+    from manibench import rl
+    from manibench.robot import gripper_bot
+
+    spec = gripper_bot()
+    policy, value_net = rl.build_nets(spec, rl.PPOConfig(seed=0))
+    ck = tmp_path / "ck.mmrl"
+    rl.save_checkpoint(ck, policy, value_net, "hand-bot", spec.dof_effector)
+    code, out, err = run_cli(capsys, "eval", "--robot", "gripper-bot", "--episodes", "1",
+                             "--config", str(_cfg(tmp_path, {"policy": str(ck)})))
+    assert code == 1
+    assert str(ck) in err and "policy widths first entry is 146" in err
+    assert "broadcast" not in err
+    assert "success_rate" not in out
+
+
 def test_gen_data_checkpoint_of_other_robot_exits_one(tmp_path, capsys):
     from manibench import rl
     from manibench.robot import hand_bot

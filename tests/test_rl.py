@@ -1,3 +1,7 @@
+import re
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,7 @@ from manibench import rl
 from manibench import world as w
 from manibench.env import EpisodeConfig
 from manibench.reward import RewardWeights
-from manibench.robot import gripper_bot
+from manibench.robot import gripper_bot, make_robot
 
 
 def small_net(rng, widths=(5, 8, 6, 3)):
@@ -394,19 +398,104 @@ def test_checkpoint_round_trip(tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
-def test_checkpoint_bad_magic(tmp_path):
-    path = tmp_path / "bad.mmrl"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(ValueError, match="magic"):
-        rl.load_checkpoint(path)
+def _mmrl_bytes(policy, value_net, robot_name, dof_effector):
+    """The checkpoint layout written out from the checkpoint module docstring."""
+    name = robot_name.encode("utf-8")
+    out = [b"MMRL", struct.pack("<I", 1), struct.pack("<I", len(name)), name,
+           struct.pack("<I", dof_effector)]
+    for widths in (policy.net.widths, value_net.widths):
+        out.append(struct.pack("<I", len(widths)))
+        out += [struct.pack("<I", width) for width in widths]
+    arrays = []
+    for w_, b in zip(policy.net.weights, policy.net.biases):
+        arrays += [w_, b]
+    arrays += [policy.log_std, policy.low, policy.high]
+    for w_, b in zip(value_net.weights, value_net.biases):
+        arrays += [w_, b]
+    out += [np.asarray(a, dtype="<f8").tobytes(order="C") for a in arrays]
+    return b"".join(out)
 
 
-def test_checkpoint_truncated(tmp_path):
+@pytest.mark.parametrize("robot", ["gripper-bot", "hand-bot"])
+def test_checkpoint_bytes_follow_the_documented_layout(tmp_path, robot):
+    spec = make_robot(robot)
+    policy, value_net = rl.build_nets(spec, rl.PPOConfig(seed=3))
+    path = tmp_path / "ck.mmrl"
+    rl.save_checkpoint(path, policy, value_net, spec.name, spec.dof_effector)
+    assert path.read_bytes() == _mmrl_bytes(policy, value_net, spec.name,
+                                            spec.dof_effector)
+
+
+def test_checkpoint_streams_without_a_copy_of_the_parameters(tmp_path):
+    spec = make_robot("hand-bot")
+    policy, value_net = rl.build_nets(spec, rl.PPOConfig(seed=0))
+    payload = sum(a.nbytes for a in policy.parameters() + value_net.parameters()
+                  + [policy.low, policy.high])
+    path = tmp_path / "ck.mmrl"
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rl.save_checkpoint(path, policy, value_net, spec.name, spec.dof_effector)
+        save_peak = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        loaded = rl.load_checkpoint(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    del loaded
+    assert payload > 30e6
+    assert save_peak < 1e6
+    assert load_peak <= payload + 1e6
+
+
+def test_checkpoint_loads_writable_c_contiguous_float64(tmp_path):
+    spec = make_robot("hand-bot")
+    policy, value_net = rl.build_nets(spec, rl.PPOConfig(seed=0))
+    path = tmp_path / "ck.mmrl"
+    rl.save_checkpoint(path, policy, value_net, spec.name, spec.dof_effector)
+    loaded_policy, loaded_value, _ = rl.load_checkpoint(path)
+    arrays = (loaded_policy.parameters() + loaded_value.parameters()
+              + [loaded_policy.low, loaded_policy.high])
+    assert len(arrays) == 2 * 5 + 3 + 2 * 5
+    for a in arrays:
+        assert a.dtype == np.float64
+        assert a.flags.c_contiguous and a.flags.writeable
+
+
+# gripper-bot header: magic 0-4, version 4-8, name length 8-12, "gripper-bot"
+# 12-23, dof_effector 23-27, 6 policy widths 27-55, 6 value widths 55-83
+_GRIPPER_PAYLOAD_START = 83
+_CHECKPOINT_EDITS = {
+    "bad_magic": (lambda d: b"NOPE" + d[4:], "bad checkpoint magic"),
+    "version_2": (lambda d: d[:4] + struct.pack("<I", 2) + d[8:],
+                  "unsupported checkpoint version 2"),
+    "cut_mid_payload": (lambda d: d[: len(d) // 2], "truncated .* at byte offset"),
+    "one_trailing_byte": (lambda d: d + b"\x00", "trailing bytes .* at byte offset"),
+    "hidden_width_2_31": (lambda d: d[:35] + struct.pack("<I", 2**31 - 1) + d[39:],
+                          f"truncated .* at byte offset {_GRIPPER_PAYLOAD_START}$"),
+    "zero_widths": (lambda d: d[:27] + struct.pack("<I", 0) + d[55:],
+                    "policy widths \\[\\] need at least 2 entries"),
+    "gripper_nets_under_hand_bot": (
+        lambda d: d[:8] + struct.pack("<I", 8) + b"hand-bot" + d[23:],
+        "policy widths first entry is 146, robot hand-bot needs 223"),
+    "robot_name_not_utf8": (lambda d: d[:12] + b"\xff" * 11 + d[23:],
+                            "robot name is not utf-8"),
+    "dof_effector_5": (lambda d: d[:23] + struct.pack("<I", 5) + d[27:],
+                       "dof_effector is 5, robot gripper-bot has 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHECKPOINT_EDITS))
+def test_malformed_checkpoint_is_value_error_naming_the_file(tmp_path, case):
+    edit, message = _CHECKPOINT_EDITS[case]
     spec = gripper_bot()
     policy, value_net = rl.build_nets(spec, rl.PPOConfig(seed=7))
     path = tmp_path / "ck.mmrl"
     rl.save_checkpoint(path, policy, value_net, spec.name, spec.dof_effector)
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2])
-    with pytest.raises(ValueError, match="byte offset"):
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError) as exc:
         rl.load_checkpoint(path)
+    assert type(exc.value) is ValueError
+    assert str(path) in str(exc.value)
+    assert re.search(message, str(exc.value)), str(exc.value)
