@@ -2,13 +2,12 @@
 
 Exit codes: 0 success, 1 runtime error, 2 usage or config error. Reports go
 to stdout, diagnostics to stderr. --workers sets the PPO rollout threads, so
-it matters to train only; MANIBENCH_WORKERS overrides it. gen-data records
-the scripted oracle on one process per CPU in its affinity mask.
+it matters to train only. gen-data records the scripted oracle on one process
+per CPU in its affinity mask.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -50,19 +49,10 @@ def _load_config(args) -> RunConfig:
     text = ""
     if args.config is not None:
         text = Path(args.config).read_text(encoding="utf-8")
-    cfg = parse_config(text)
-    workers = args.workers
-    env_workers = os.environ.get("MANIBENCH_WORKERS")
-    if env_workers is not None:
-        try:
-            workers = int(env_workers)
-        except ValueError:
-            raise ConfigError(
-                f"MANIBENCH_WORKERS must be an integer, got {env_workers!r}") from None
     return apply_overrides(
-        cfg, seed=args.seed, out=args.out, robot=args.robot, task=args.task,
-        skill=args.skill, episodes=args.episodes, fixed_base=args.fixed_base,
-        workers=workers)
+        parse_config(text), seed=args.seed, out=args.out, robot=args.robot,
+        task=args.task, skill=args.skill, episodes=args.episodes,
+        fixed_base=args.fixed_base, workers=args.workers)
 
 
 def _cmd_train(cfg: RunConfig) -> int:

@@ -35,7 +35,7 @@ from .env import (CLOSE_INIT_RANGE, OBJECT_HEIGHT_RANGE, OPEN_INIT_ANGLE, YAW_RA
 from .observation import ObservationLayout, check_policy_obs_dim
 from .reward import GRASP_THRESHOLD, SUCCESS_THRESHOLD, RewardWeights
 from .robot import DT, FRAME_RATE, RobotSpec, make_robot
-from .world import TaskSpec, make_task
+from .world import OBJECT_SKILLS, TaskSpec, make_task
 
 MAGIC_LINE = "MMTRAJ 1"
 TRAJ_SUFFIX = ".mmt"
@@ -294,6 +294,28 @@ def read(path) -> Trajectory:
                 "success": {"true": True, "false": False}[fields["success"]]}
     except (KeyError, ValueError, TypeError) as exc:
         raise MalformedTrajectory(f"malformed trajectory {path}: {exc}") from exc
+    # the header must name a robot and a task that exist, in that robot's shape
+    obj, skill = meta["object_name"], meta["skill"]
+    try:
+        spec = make_robot(meta["robot"])
+        if obj not in OBJECT_SKILLS:
+            raise ValueError(f"unknown object {obj!r}; expected one of {sorted(OBJECT_SKILLS)}")
+        if skill not in OBJECT_SKILLS[obj]:
+            raise ValueError(f"skill {skill!r} not valid for {obj!r}; "
+                             f"expected one of {OBJECT_SKILLS[obj]}")
+    except ValueError as exc:
+        raise MalformedTrajectory(f"malformed trajectory {path}: {exc}") from None
+    if frames < 0:
+        raise MalformedTrajectory(f"malformed trajectory {path}: frames is {frames}, "
+                                  f"must be >= 0")
+    robot_layout = ObservationLayout.for_robot(spec)
+    for name, got, want in (("joint_dim", joint_dim, spec.n_joints),
+                            ("action_dim", action_dim, spec.action_dim),
+                            ("obs_dim", obs_dim, robot_layout.total),
+                            ("layout", layout, robot_layout.to_dict())):
+        if got != want:
+            raise MalformedTrajectory(f"malformed trajectory {path}: {name} is {got}, "
+                                      f"robot {spec.name} needs {want}")
 
     widths = {
         "t": 1, "q": joint_dim, "qdot": joint_dim, "qddot": joint_dim,

@@ -1,7 +1,7 @@
 """From-scratch PPO: networks, GAE, rollout collection, training, evaluation."""
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .net import Adam, Mlp, clip_gradients, orthogonal
+from .net import Adam, Mlp, clip_gradients, init_mlp, orthogonal
 from .ppo import (
     CurvePoint,
     EnvSlot,
@@ -18,7 +18,6 @@ from .ppo import (
     compute_gae,
     evaluate,
     make_slots,
-    make_value_net,
     observation_inv_scale,
     ppo_update,
     train,
@@ -27,11 +26,11 @@ from .ppo import (
 )
 
 __all__ = [
-    "Adam", "Mlp", "clip_gradients", "orthogonal",
+    "Adam", "Mlp", "clip_gradients", "init_mlp", "orthogonal",
     "CurvePoint", "EnvSlot", "EvalResult", "GaussianPolicy", "PPOConfig",
     "RolloutBatch", "TrainResult", "TrainingDiverged", "UpdateStats",
     "action_bounds", "build_nets", "collect_rollouts", "compute_gae",
-    "evaluate", "make_slots", "make_value_net", "observation_inv_scale",
+    "evaluate", "make_slots", "observation_inv_scale",
     "ppo_update", "train", "value_forward", "write_curve",
     "load_checkpoint", "save_checkpoint",
 ]

@@ -113,15 +113,11 @@ def load_checkpoint(path):
         r.check_payload([*_layer_counts(policy_widths), act_dim, act_dim, act_dim,
                          *_layer_counts(value_widths)])
 
-        policy = GaussianPolicy.__new__(GaussianPolicy)
-        policy.net = _read_mlp(r, policy_widths)
-        policy.log_std = r.f64(act_dim)
-        policy.low = r.f64(act_dim)
-        policy.high = r.f64(act_dim)
+        policy_net = _read_mlp(r, policy_widths)
+        log_std, low, high = r.f64(act_dim), r.f64(act_dim), r.f64(act_dim)
         value_net = _read_mlp(r, value_widths)
-    policy.mean_scale = 0.5 * (policy.high - policy.low)
     # the network-input scaling is a pure function of the robot
-    policy.obs_inv_scale = observation_inv_scale(spec)
+    policy = GaussianPolicy(policy_net, log_std, low, high, observation_inv_scale(spec))
     meta = {"robot": robot_name, "dof_effector": dof_effector, "version": version}
     return policy, value_net, meta
 
@@ -150,11 +146,8 @@ def _layer_counts(widths):
 
 
 def _read_mlp(r: _Reader, widths) -> Mlp:
-    net = Mlp.__new__(Mlp)
-    net.widths = tuple(widths)
-    net.weights = []
-    net.biases = []
+    weights, biases = [], []
     for n_in, n_out in zip(widths, widths[1:]):
-        net.weights.append(r.f64(n_in * n_out).reshape(n_in, n_out))
-        net.biases.append(r.f64(n_out))
-    return net
+        weights.append(r.f64(n_in * n_out).reshape(n_in, n_out))
+        biases.append(r.f64(n_out))
+    return Mlp(weights, biases)

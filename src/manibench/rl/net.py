@@ -21,27 +21,31 @@ def orthogonal(rng: np.random.Generator, shape, gain: float = 1.0) -> np.ndarray
     return np.ascontiguousarray(gain * q[:rows, :cols])
 
 
+def init_mlp(widths, rng: np.random.Generator, head_gain: float) -> Mlp:
+    """Orthogonal init, layer by layer from the input: gain sqrt(2) on the
+    tanh layers, `head_gain` on the linear head, zero biases."""
+    if len(widths) < 2:
+        raise ValueError("need at least input and output widths")
+    n_layers = len(widths) - 1
+    weights, biases = [], []
+    for i in range(n_layers):
+        gain = head_gain if i == n_layers - 1 else np.sqrt(2.0)
+        weights.append(orthogonal(rng, (widths[i], widths[i + 1]), gain))
+        biases.append(np.zeros(widths[i + 1]))
+    return Mlp(weights, biases)
+
+
 class Mlp:
     """widths[0] -> tanh hidden layers -> linear widths[-1].
 
-    Hidden layers use orthogonal init with gain sqrt(2); the head gain is a
-    constructor argument (0.01 for policy means, 1.0 for values).
+    Holds the given (in, out) weight and (out,) bias arrays without copying
+    them; `widths` follows from their shapes. `init_mlp` builds a fresh one.
     """
 
-    def __init__(self, widths, rng: np.random.Generator | None = None,
-                 head_gain: float = 1.0):
-        self.widths = tuple(int(w) for w in widths)
-        if len(self.widths) < 2:
-            raise ValueError("need at least input and output widths")
-        self.weights = []
-        self.biases = []
-        if rng is None:
-            rng = np.random.default_rng(0)
-        n_layers = len(self.widths) - 1
-        for i in range(n_layers):
-            gain = head_gain if i == n_layers - 1 else np.sqrt(2.0)
-            self.weights.append(orthogonal(rng, (self.widths[i], self.widths[i + 1]), gain))
-            self.biases.append(np.zeros(self.widths[i + 1]))
+    def __init__(self, weights, biases):
+        self.weights = list(weights)
+        self.biases = list(biases)
+        self.widths = (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
 
     @property
     def n_layers(self) -> int:

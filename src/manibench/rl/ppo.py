@@ -21,7 +21,7 @@ from ..observation import ObservationLayout, check_policy_obs_dim
 from ..reward import RewardWeights
 from ..robot import RobotSpec
 from ..world import TaskSpec
-from .net import HIDDEN_WIDTHS, Adam, Mlp, clip_gradients
+from .net import HIDDEN_WIDTHS, Adam, Mlp, clip_gradients, init_mlp
 
 _LOG_STD_MIN, _LOG_STD_MAX = -20.0, 2.0
 _LOG2PI = np.log(2.0 * np.pi)
@@ -62,8 +62,24 @@ class PPOConfig:
                      "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if not 0.0 < self.clip_ratio < 1.0:
             raise ValueError(f"clip_ratio must lie in (0, 1), got {self.clip_ratio}")
+        for name in ("learning_rate", "grad_clip", "log_std_init_scale"):
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not self.target_kl > 0.0:
+            raise ValueError(f"target_kl must be > 0, got {self.target_kl}")
+        for name in ("gamma", "gae_lambda"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        for name in ("entropy_coef", "value_coef"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.minibatches > self.num_envs * self.rollout_horizon:
+            raise ValueError(f"minibatches must be <= num_envs * rollout_horizon "
+                             f"({self.num_envs * self.rollout_horizon}), got {self.minibatches}")
 
 
 # ---------------------------------------------------------------------------
@@ -133,18 +149,14 @@ class GaussianPolicy:
     the importance ratio overflows faster than clipping can react.
     """
 
-    def __init__(self, obs_dim: int, low: np.ndarray, high: np.ndarray,
-                 rng: np.random.Generator, hidden=HIDDEN_WIDTHS,
-                 log_std_init_scale: float = 0.3,
-                 obs_inv_scale: np.ndarray | None = None):
-        act_dim = len(low)
-        self.net = Mlp((obs_dim,) + tuple(hidden) + (act_dim,), rng, head_gain=0.01)
-        self.low = np.asarray(low, dtype=np.float64)
-        self.high = np.asarray(high, dtype=np.float64)
-        self.mean_scale = 0.5 * (self.high - self.low)
-        self.log_std = np.log(log_std_init_scale * self.mean_scale)
-        self.obs_inv_scale = (np.ones(obs_dim) if obs_inv_scale is None
-                              else np.asarray(obs_inv_scale, dtype=np.float64))
+    def __init__(self, net: Mlp, log_std: np.ndarray, low: np.ndarray,
+                 high: np.ndarray, obs_inv_scale: np.ndarray):
+        self.net = net
+        self.log_std = log_std
+        self.low = low
+        self.high = high
+        self.mean_scale = 0.5 * (high - low)
+        self.obs_inv_scale = obs_inv_scale
 
     def scale_obs(self, obs: np.ndarray) -> np.ndarray:
         return obs * self.obs_inv_scale
@@ -185,13 +197,6 @@ class GaussianPolicy:
 
     def deterministic_action(self, obs: np.ndarray, env=None) -> np.ndarray:
         return self.clamp(self.mean(obs))
-
-
-def make_value_net(obs_dim: int, rng: np.random.Generator,
-                   hidden=HIDDEN_WIDTHS) -> Mlp:
-    # near-zero head: initial values ~ 0 so early advantages reduce to clean
-    # discounted reward sums instead of chasing a random value landscape
-    return Mlp((obs_dim,) + tuple(hidden) + (1,), rng, head_gain=0.01)
 
 
 def value_forward(value_net: Mlp, policy: GaussianPolicy, obs: np.ndarray) -> np.ndarray:
@@ -404,7 +409,6 @@ def ppo_update(policy: GaussianPolicy, value_net: Mlp, policy_opt: Adam,
 
     policy_stats = []  # (policy_loss, clip_frac, gnorm_p, approx_kl) per policy step
     value_stats = []   # (value_loss, entropy, gnorm_v) per minibatch step
-    policy_steps = 0
     stop_policy = False  # KL guard halts policy steps; value keeps training
     for _ in range(cfg.epochs_per_iter):
         perm = update_rng.permutation(total)
@@ -425,11 +429,9 @@ def ppo_update(policy: GaussianPolicy, value_net: Mlp, policy_opt: Adam,
                 raw_mean, cache = policy.net.forward_cached(mb_obs_scaled)
                 squashed = np.tanh(raw_mean)
                 mean = policy.mean_scale * squashed
+                log_probs = policy.log_prob(mean, mb_act)
                 std = policy.std()
                 z = (mb_act - mean) / std
-                log_probs = -0.5 * ((z * z).sum(axis=1)
-                                    + 2.0 * np.log(std).sum()
-                                    + policy.act_dim * _LOG2PI)
                 # exp guard: a blown ratio still registers as huge finite loss
                 ratio = np.exp(np.minimum(log_probs - mb_old, 50.0))
                 clipped = np.clip(ratio, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
@@ -451,7 +453,6 @@ def ppo_update(policy: GaussianPolicy, value_net: Mlp, policy_opt: Adam,
                 grads.append(dlog_std)
                 gnorm_p = clip_gradients(grads, cfg.grad_clip)
                 policy_opt.step(grads)
-                policy_steps += 1
                 if not np.isfinite(policy_loss):
                     raise TrainingDiverged(f"diverged: policy_loss={policy_loss}")
                 policy_stats.append((policy_loss, clip_frac, gnorm_p, approx_kl))
@@ -476,7 +477,7 @@ def ppo_update(policy: GaussianPolicy, value_net: Mlp, policy_opt: Adam,
     return UpdateStats(policy_loss=policy_loss, value_loss=value_loss,
                        entropy=entropy, clip_fraction=clip_frac,
                        grad_norm_policy=gnorm_p, grad_norm_value=gnorm_v,
-                       approx_kl=approx_kl, minibatch_steps=policy_steps)
+                       approx_kl=approx_kl, minibatch_steps=len(policy_stats))
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +506,16 @@ def _init_rng(seed: int, stream: int) -> np.random.Generator:
 def build_nets(robot_spec: RobotSpec, cfg: PPOConfig):
     obs_dim = ObservationLayout.for_robot(robot_spec).total
     low, high = action_bounds(robot_spec)
-    policy = GaussianPolicy(obs_dim, low, high,
-                            _init_rng(cfg.seed, _STREAM_POLICY_INIT),
-                            log_std_init_scale=cfg.log_std_init_scale,
-                            obs_inv_scale=observation_inv_scale(robot_spec))
-    value_net = make_value_net(obs_dim, _init_rng(cfg.seed, _STREAM_VALUE_INIT))
+    widths = (obs_dim, *HIDDEN_WIDTHS)
+    # near-zero heads: small initial means, and initial values ~ 0 so early
+    # advantages reduce to clean discounted reward sums instead of chasing a
+    # random value landscape
+    policy_net = init_mlp(widths + (len(low),), _init_rng(cfg.seed, _STREAM_POLICY_INIT),
+                          head_gain=0.01)
+    policy = GaussianPolicy(policy_net, np.log(cfg.log_std_init_scale * (0.5 * (high - low))),
+                            low, high, observation_inv_scale(robot_spec))
+    value_net = init_mlp(widths + (1,), _init_rng(cfg.seed, _STREAM_VALUE_INIT),
+                         head_gain=0.01)
     return policy, value_net
 
 

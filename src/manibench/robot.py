@@ -523,8 +523,7 @@ def _norm(v: np.ndarray) -> float:
 
 
 def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
-             target: Transform, fixed_base: bool = False,
-             max_iters: int = _IK_MAX_ITERS, _chain=None) -> np.ndarray:
+             target: Transform, fixed_base: bool = False, _chain=None) -> np.ndarray:
     """Damped-least-squares IK for the wrist pose.
 
     Returns a copy of q0 with the first 9 (base+arm) entries updated;
@@ -545,7 +544,7 @@ def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
 
     best_err = math.inf
     stalled = 0
-    for _ in range(max_iters):
+    for _ in range(_IK_MAX_ITERS):
         if _chain is None:
             rw, pw, origins, axes = _wrist_chain(spec, q, base_anchor)
         else:

@@ -114,20 +114,6 @@ def test_train_smoke_writes_checkpoint_and_curve(tmp_path, capsys):
     assert meta["robot"] == "gripper-bot"
 
 
-def test_workers_env_var_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MANIBENCH_WORKERS", "2")
-    code, out, _ = run_cli(capsys, "eval", "--task", "laptop", "--skill", "open",
-                           "--episodes", "1", "--seed", "0", "--workers", "7")
-    assert code == 0  # env var wins silently; eval is single-env anyway
-
-
-def test_workers_env_var_not_an_integer_exits_two(capsys, monkeypatch):
-    monkeypatch.setenv("MANIBENCH_WORKERS", "abc")
-    code, _, err = run_cli(capsys, "eval", "--episodes", "1")
-    assert code == 2
-    assert "MANIBENCH_WORKERS must be an integer, got 'abc'" in err
-
-
 @pytest.mark.parametrize("argv,message", [
     (("train", "--workers", "0"), "workers must be >= 1, got 0"),
     (("train", "--workers", "-3"), "workers must be >= 1, got -3"),
@@ -136,8 +122,7 @@ def test_workers_env_var_not_an_integer_exits_two(capsys, monkeypatch):
     (("gen-data", "--config", {"retries": -1, "trajectories": 2}),
      "retries must be >= 0, got -1"),
 ])
-def test_count_out_of_range_exits_two(tmp_path, capsys, monkeypatch, argv, message):
-    monkeypatch.delenv("MANIBENCH_WORKERS", raising=False)
+def test_count_out_of_range_exits_two(tmp_path, capsys, argv, message):
     argv = [str(_cfg(tmp_path, a)) if isinstance(a, dict) else a for a in argv]
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
     assert code == 2
@@ -145,13 +130,28 @@ def test_count_out_of_range_exits_two(tmp_path, capsys, monkeypatch, argv, messa
     assert out == "" and not (tmp_path / "out").exists()
 
 
-def test_ppo_section_workers_below_one_exits_two(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("MANIBENCH_WORKERS", raising=False)
+def test_ppo_section_workers_below_one_exits_two(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"ppo": {"workers": 0}}))
     code, _, err = run_cli(capsys, "train", "--config", str(cfg))
     assert code == 2
     assert "ppo: workers must be >= 1, got 0" in err
+
+
+@pytest.mark.parametrize("ppo,message", [
+    ({"learning_rate": -1.0}, "ppo: learning_rate must be finite and > 0, got -1.0"),
+    ({"minibatches": 100},
+     "ppo: minibatches must be <= num_envs * rollout_horizon (8), got 100"),
+])
+def test_ppo_value_out_of_range_exits_two(tmp_path, capsys, ppo, message):
+    # a small run, so that a missed check trains briefly instead of for hours
+    small = {"iterations": 1, "num_envs": 2, "rollout_horizon": 4}
+    cfg = _cfg(tmp_path, {"ppo": {**small, **ppo}, "episode": {"max_steps": 10}})
+    code, out, err = run_cli(capsys, "train", "--config", str(cfg),
+                             "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert f"config error: {message}" in err
+    assert out == "" and not (tmp_path / "out").exists()
 
 
 def test_eval_checkpoint_of_unknown_robot_exits_one(tmp_path, capsys):
@@ -308,6 +308,25 @@ _MMT_EDITS = {
     "grasp_threshold_edited": (
         lambda data: data.replace(_threshold_hex(0.1), _threshold_hex(0.05), 1),
         "'grasp_threshold'"),
+    "robot_relabelled": (
+        lambda data: data.replace(b"\nrobot: gripper-bot\n", b"\nrobot: hand-bot\n", 1),
+        "joint_dim is 10, robot hand-bot needs"),
+    "robot_unknown": (
+        lambda data: data.replace(b"\nrobot: gripper-bot\n", b"\nrobot: no-such-bot\n", 1),
+        "unknown robot 'no-such-bot'"),
+    "object_unknown": (
+        lambda data: data.replace(b"\nobject: laptop\n", b"\nobject: toaster\n", 1),
+        "unknown object 'toaster'"),
+    "skill_invalid_for_object": (
+        lambda data: data.replace(b"\nskill: open\n", b"\nskill: pick\n", 1),
+        "skill 'pick' not valid for 'laptop'"),
+    "dimensions_shifted": (  # same frame width: 3 * 9 + 149 == 3 * 10 + 146
+        lambda data: data.replace(b"\njoint_dim: 10\n", b"\njoint_dim: 9\n", 1)
+        .replace(b"\nobs_dim: 146\n", b"\nobs_dim: 149\n", 1),
+        "joint_dim is 9, robot gripper-bot needs 10"),
+    "frames_negative": (lambda data: re.sub(rb"\nframes: \d+\n", b"\nframes: -1\n", data,
+                                            count=1),
+                        "frames is -1, must be >= 0"),
 }
 
 

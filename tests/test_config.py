@@ -110,6 +110,18 @@ def test_control_step_is_not_a_config_key():
     (lambda: PPOConfig(minibatches=0), "minibatches"),
     (lambda: PPOConfig(workers=0), "workers"),
     (lambda: PPOConfig(clip_ratio=1.0), "clip_ratio"),
+    (lambda: PPOConfig(iterations=-5), "iterations"),
+    (lambda: PPOConfig(learning_rate=-1.0), "learning_rate"),
+    (lambda: PPOConfig(learning_rate=float("nan")), "learning_rate"),
+    (lambda: PPOConfig(learning_rate=float("inf")), "learning_rate"),
+    (lambda: PPOConfig(grad_clip=0.0), "grad_clip"),
+    (lambda: PPOConfig(log_std_init_scale=0.0), "log_std_init_scale"),
+    (lambda: PPOConfig(target_kl=-1.0), "target_kl"),
+    (lambda: PPOConfig(gamma=2.0), "gamma"),
+    (lambda: PPOConfig(gae_lambda=-0.1), "gae_lambda"),
+    (lambda: PPOConfig(entropy_coef=-0.01), "entropy_coef"),
+    (lambda: PPOConfig(value_coef=float("nan")), "value_coef"),
+    (lambda: PPOConfig(num_envs=2, rollout_horizon=4, minibatches=100), "minibatches"),
     (lambda: RewardWeights(move=-0.1), "move"),
     (lambda: RunConfig(episodes=0).validate(), "episodes must be >= 1, got 0"),
     (lambda: RunConfig(trajectories=-3).validate(), "trajectories must be >= 1, got -3"),

@@ -13,7 +13,14 @@ from manibench.robot import gripper_bot, make_robot
 
 
 def small_net(rng, widths=(5, 8, 6, 3)):
-    return rl.Mlp(widths, rng)
+    return rl.init_mlp(widths, rng, head_gain=1.0)
+
+
+def small_policy(rng, low, high, obs_dim=4, hidden=(8,)):
+    """Unit input scaling and build_nets' initial log-std."""
+    net = rl.init_mlp((obs_dim, *hidden, len(low)), rng, head_gain=0.01)
+    return rl.GaussianPolicy(net, np.log(0.3 * (0.5 * (high - low))), low, high,
+                             np.ones(obs_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +35,7 @@ def test_zero_net_zero_output():
 
 
 def test_single_layer_is_affine():
-    net = rl.Mlp((4, 2), np.random.default_rng(1))
+    net = small_net(np.random.default_rng(1), widths=(4, 2))
     x = np.array([1.0, -2.0, 0.5, 3.0])
     np.testing.assert_allclose(net.forward(x), x @ net.weights[0] + net.biases[0],
                                atol=1e-15)
@@ -182,7 +189,7 @@ def test_policy_log_prob_matches_gaussian():
     rng = np.random.default_rng(8)
     low = -np.ones(3)
     high = np.ones(3)
-    policy = rl.GaussianPolicy(4, low, high, rng, hidden=(8,))
+    policy = small_policy(rng, low, high)
     obs = rng.normal(size=(5, 4))
     mean = policy.mean(obs)
     actions = mean + 0.1 * rng.normal(size=mean.shape)
@@ -203,8 +210,7 @@ def test_log_std_initialized_to_fraction_of_limit():
 
 def test_deterministic_action_stays_in_action_box():
     rng = np.random.default_rng(9)
-    policy = rl.GaussianPolicy(4, -0.01 * np.ones(2), 0.01 * np.ones(2), rng,
-                               hidden=(8,))
+    policy = small_policy(rng, -0.01 * np.ones(2), 0.01 * np.ones(2))
     policy.net.biases[-1][:] = 10.0  # saturate the bounded mean head
     obs = rng.normal(size=4)
     act = policy.deterministic_action(obs)
@@ -214,8 +220,7 @@ def test_deterministic_action_stays_in_action_box():
 
 def test_sampled_actions_clamped_to_limits():
     rng = np.random.default_rng(19)
-    policy = rl.GaussianPolicy(4, -0.01 * np.ones(2), 0.01 * np.ones(2), rng,
-                               hidden=(8,))
+    policy = small_policy(rng, -0.01 * np.ones(2), 0.01 * np.ones(2))
     mean = np.zeros((64, 2))
     noise = 100.0 * rng.standard_normal((64, 2))
     acts = policy.sample(mean, noise)
@@ -231,9 +236,9 @@ def tiny_setup(seed=0, n_envs=2, horizon=4):
     spec = gripper_bot()
     cfg = rl.PPOConfig(num_envs=n_envs, rollout_horizon=horizon, seed=seed)
     episode_config = EpisodeConfig(seed=seed, max_steps=20)
-    policy = rl.GaussianPolicy(146, *rl.action_bounds(spec),
-                               rng=np.random.default_rng(seed), hidden=(16, 16))
-    value_net = rl.make_value_net(146, np.random.default_rng(seed + 1), hidden=(16, 16))
+    policy = small_policy(np.random.default_rng(seed), *rl.action_bounds(spec),
+                          obs_dim=146, hidden=(16, 16))
+    value_net = rl.init_mlp((146, 16, 16, 1), np.random.default_rng(seed + 1), head_gain=0.01)
     slots = rl.make_slots(task, spec, episode_config, n_envs)
     return cfg, policy, value_net, slots
 
@@ -384,18 +389,21 @@ def test_evaluate_dim_mismatch():
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def test_checkpoint_round_trip(tmp_path):
-    spec = gripper_bot()
+@pytest.mark.parametrize("robot", ["gripper-bot", "hand-bot"])
+def test_checkpoint_round_trip(tmp_path, robot):
+    spec = make_robot(robot)
     policy, value_net = rl.build_nets(spec, rl.PPOConfig(seed=7))
     path = tmp_path / "ck.mmrl"
     rl.save_checkpoint(path, policy, value_net, spec.name, spec.dof_effector)
     loaded_policy, loaded_value, meta = rl.load_checkpoint(path)
-    assert meta["robot"] == "gripper-bot"
-    assert meta["dof_effector"] == 1
-    for a, b in zip(policy.parameters(), loaded_policy.parameters()):
-        np.testing.assert_array_equal(a, b)
-    for a, b in zip(value_net.parameters(), loaded_value.parameters()):
-        np.testing.assert_array_equal(a, b)
+    assert meta["robot"] == robot
+    assert meta["dof_effector"] == spec.dof_effector
+    for saved, loaded in ((policy.net, loaded_policy.net), (value_net, loaded_value)):
+        assert loaded.widths == saved.widths
+        for a, b in zip(saved.weights + saved.biases, loaded.weights + loaded.biases):
+            np.testing.assert_array_equal(a, b)
+    for name in ("log_std", "low", "high", "mean_scale", "obs_inv_scale"):
+        np.testing.assert_array_equal(getattr(loaded_policy, name), getattr(policy, name))
 
 
 def _mmrl_bytes(policy, value_net, robot_name, dof_effector):
