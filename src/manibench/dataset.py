@@ -25,7 +25,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +263,17 @@ def write(traj: Trajectory, path) -> None:
     path.write_bytes("\n".join(header).encode("utf-8") + payload)
 
 
+@cache
+def _robot_dims(robot_name: str):
+    """(n_joints, action_dim, observation width, layout dict) of a robot, the
+    dimensions `read` checks a header against; ValueError for an unknown
+    robot. Cached per name: building a `RobotSpec` costs more than a read.
+    Callers compare against the layout dict and must not change it."""
+    spec = make_robot(robot_name)
+    layout = ObservationLayout.for_robot(spec)
+    return spec.n_joints, spec.action_dim, layout.total, layout.to_dict()
+
+
 def read(path) -> Trajectory:
     path = Path(path)
     data = path.read_bytes()
@@ -297,7 +308,7 @@ def read(path) -> Trajectory:
     # the header must name a robot and a task that exist, in that robot's shape
     obj, skill = meta["object_name"], meta["skill"]
     try:
-        spec = make_robot(meta["robot"])
+        robot_dims = _robot_dims(meta["robot"])
         if obj not in OBJECT_SKILLS:
             raise ValueError(f"unknown object {obj!r}; expected one of {sorted(OBJECT_SKILLS)}")
         if skill not in OBJECT_SKILLS[obj]:
@@ -308,14 +319,11 @@ def read(path) -> Trajectory:
     if frames < 0:
         raise MalformedTrajectory(f"malformed trajectory {path}: frames is {frames}, "
                                   f"must be >= 0")
-    robot_layout = ObservationLayout.for_robot(spec)
-    for name, got, want in (("joint_dim", joint_dim, spec.n_joints),
-                            ("action_dim", action_dim, spec.action_dim),
-                            ("obs_dim", obs_dim, robot_layout.total),
-                            ("layout", layout, robot_layout.to_dict())):
+    for name, got, want in zip(("joint_dim", "action_dim", "obs_dim", "layout"),
+                               (joint_dim, action_dim, obs_dim, layout), robot_dims):
         if got != want:
             raise MalformedTrajectory(f"malformed trajectory {path}: {name} is {got}, "
-                                      f"robot {spec.name} needs {want}")
+                                      f"robot {meta['robot']} needs {want}")
 
     widths = {
         "t": 1, "q": joint_dim, "qdot": joint_dim, "qddot": joint_dim,

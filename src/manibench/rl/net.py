@@ -8,6 +8,8 @@ from __future__ import annotations
 import numpy as np
 
 HIDDEN_WIDTHS = (1024, 1024, 512, 512)
+# elements per slice of an Adam step: bounds its temporaries at 256 KB each
+_ADAM_BLOCK = 1 << 15
 
 
 def orthogonal(rng: np.random.Generator, shape, gain: float = 1.0) -> np.ndarray:
@@ -79,7 +81,13 @@ class Mlp:
 
     def backward(self, activations, dy: np.ndarray):
         """Gradients of sum(loss) given d loss / d output; returns
-        ([dW0, db0, dW1, db1, ...], dx)."""
+        ([dW0, db0, dW1, db1, ...], dx).
+
+        Consumes `activations`, the cache of `forward_cached`: each entry is
+        set to None once its layer is done, so an activation is freed as soon
+        as it has been used. Run `forward_cached` again before another
+        `backward`.
+        """
         dy = np.asarray(dy, dtype=np.float64)
         if dy.ndim == 1:
             dy = dy[None, :]
@@ -87,11 +95,12 @@ class Mlp:
         dh = dy
         for i in range(self.n_layers - 1, -1, -1):
             h_in = activations[i]
+            activations[i] = None
             grads[2 * i] = h_in.T @ dh
             grads[2 * i + 1] = dh.sum(axis=0)
             dh = dh @ self.weights[i].T
             if i > 0:
-                dh = dh * (1.0 - activations[i] * activations[i])  # tanh'
+                dh *= 1.0 - h_in * h_in  # tanh'
         return grads, dh
 
 
@@ -100,6 +109,8 @@ class Adam:
 
     def __init__(self, params, lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
         self.params = list(params)
+        if not all(p.flags.c_contiguous for p in self.params):
+            raise ValueError("Adam steps C-contiguous parameter arrays in place")
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
@@ -108,17 +119,28 @@ class Adam:
         self.t = 0
 
     def step(self, grads):
+        """One update of every parameter, in place.
+
+        Each parameter is walked in slices of `_ADAM_BLOCK` elements of its
+        flattened view, so the temporaries stay block-sized however large the
+        array; every element sees the same float operations as a whole-array
+        update, so the results are bit-identical to one.
+        """
         if len(grads) != len(self.params):
             raise ValueError("gradient list length mismatch")
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        for arrays in zip(self.params, grads, self.m, self.v):
+            p, g, m, v = (a.reshape(-1) for a in arrays)
+            for start in range(0, p.size, _ADAM_BLOCK):
+                block = slice(start, start + _ADAM_BLOCK)
+                pb, gb, mb, vb = p[block], g[block], m[block], v[block]
+                mb *= self.beta1
+                mb += (1.0 - self.beta1) * gb
+                vb *= self.beta2
+                vb += (1.0 - self.beta2) * (gb * gb)
+                pb -= self.lr * (mb / b1t) / (np.sqrt(vb / b2t) + self.eps)
 
 
 def clip_gradients(grads, max_norm: float) -> float:

@@ -453,6 +453,7 @@ def ppo_update(policy: GaussianPolicy, value_net: Mlp, policy_opt: Adam,
                 grads.append(dlog_std)
                 gnorm_p = clip_gradients(grads, cfg.grad_clip)
                 policy_opt.step(grads)
+                del grads  # freed before the value step allocates its own
                 if not np.isfinite(policy_loss):
                     raise TrainingDiverged(f"diverged: policy_loss={policy_loss}")
                 policy_stats.append((policy_loss, clip_frac, gnorm_p, approx_kl))
@@ -466,6 +467,7 @@ def ppo_update(policy: GaussianPolicy, value_net: Mlp, policy_opt: Adam,
             vgrads, _ = value_net.backward(vcache, dv)
             gnorm_v = clip_gradients(vgrads, cfg.grad_clip)
             value_opt.step(vgrads)
+            del vgrads
 
             if not np.isfinite(value_loss):
                 raise TrainingDiverged(f"diverged: value_loss={value_loss}")

@@ -1,5 +1,6 @@
-"""Suite-wide pytest hooks."""
+"""Suite-wide pytest hooks and fixtures."""
 import multiprocessing
+import tracemalloc
 
 import pytest
 
@@ -23,3 +24,20 @@ def pytest_sessionfinish(session, exitstatus):
         writer.line()
         writer.line(f"child processes left running: {pids}", red=True)
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+@pytest.fixture
+def traced_peak():
+    """A function that runs fn(*args, **kwargs) under tracemalloc and returns
+    (its result, the peak bytes allocated above what was live at the start);
+    numpy arrays count, as numpy reports its buffers to tracemalloc."""
+    def run(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = fn(*args, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        return result, peak
+    return run

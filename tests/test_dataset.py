@@ -128,6 +128,15 @@ def test_round_trip_twice_idempotent(tmp_path, lid_trajectory):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_read_layout_is_the_files_own(tmp_path, lid_trajectory):
+    # read checks every header against one cached layout per robot; a
+    # caller's edit of a returned layout must not reach the next read
+    path = tmp_path / "a.mmt"
+    ds.write(lid_trajectory, path)
+    ds.read(path).layout.clear()
+    assert ds.read(path) == lid_trajectory
+
+
 def test_truncated_file_errors_with_offset(tmp_path, lid_trajectory):
     path = tmp_path / "a.mmt"
     ds.write(lid_trajectory, path)

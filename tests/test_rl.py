@@ -1,6 +1,5 @@
 import re
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from manibench import rl
 from manibench import world as w
 from manibench.env import EpisodeConfig
 from manibench.reward import RewardWeights
+from manibench.rl.net import _ADAM_BLOCK, HIDDEN_WIDTHS
 from manibench.robot import gripper_bot, make_robot
 
 
@@ -92,6 +92,66 @@ def test_backward_input_gradient():
         lm = 0.5 * (net.forward(xm) ** 2).sum()
         fd = (lp - lm) / (2 * h)
         assert abs(dx[0, i] - fd) / max(abs(fd), 1e-8) < 1e-4
+
+
+def _backward_reference(net, activations, dy):
+    """Mlp.backward as an out-of-place loop that leaves the cache alone."""
+    grads = [None] * (2 * net.n_layers)
+    dh = dy
+    for i in range(net.n_layers - 1, -1, -1):
+        grads[2 * i] = activations[i].T @ dh
+        grads[2 * i + 1] = dh.sum(axis=0)
+        dh = dh @ net.weights[i].T
+        if i > 0:
+            dh = dh * (1.0 - activations[i] * activations[i])
+    return grads, dh
+
+
+@pytest.mark.parametrize("widths", [(5, 3), (5, 8, 6, 3), (146, 64, 64, 32, 32, 7)])
+def test_backward_is_bitwise_the_reference_and_consumes_its_cache(widths):
+    rng = np.random.default_rng(11)
+    net = rl.init_mlp(widths, rng, head_gain=1.0)
+    x = rng.normal(size=(33, widths[0]))
+    y, cache = net.forward_cached(x)
+    dy = rng.normal(size=y.shape)
+    want_grads, want_dx = _backward_reference(net, list(cache), dy)
+    grads, dx = net.backward(cache, dy)
+    assert len(grads) == len(want_grads)
+    for got, want in zip(grads + [dx], want_grads + [want_dx]):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert cache == [None] * len(cache)
+
+
+def _adam_reference(p, m, v, grads, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Whole-array Adam, one step per gradient, in place."""
+    for t, g in enumerate(grads, start=1):
+        b1t, b2t = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        p -= lr * (m / b1t) / (np.sqrt(v / b2t) + eps)
+
+
+@pytest.mark.parametrize("shape", [
+    (1,), (_ADAM_BLOCK - 1,), (_ADAM_BLOCK,), (_ADAM_BLOCK + 1,),
+    (3 * _ADAM_BLOCK + 5,), (1024, 1024)], ids=str)
+def test_adam_step_is_bitwise_the_whole_array_formula(shape):
+    rng = np.random.default_rng(12)
+    p = rng.normal(size=shape)
+    grads = [rng.normal(size=shape) for _ in range(3)]
+    ref_p, ref_m, ref_v = p.copy(), np.zeros(shape), np.zeros(shape)
+    _adam_reference(ref_p, ref_m, ref_v, grads)
+    opt = rl.Adam([p], lr=1e-3)
+    for g in grads:
+        opt.step([g])
+    for got, want in ((p, ref_p), (opt.m[0], ref_m), (opt.v[0], ref_v)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_adam_rejects_a_parameter_it_cannot_step_in_place():
+    with pytest.raises(ValueError, match="C-contiguous"):
+        rl.Adam([np.zeros((4, 4))[:, ::2]], lr=1e-3)
 
 
 def test_orthogonal_init_is_orthogonal():
@@ -323,6 +383,36 @@ def test_update_stats_average_over_policy_steps_taken():
     assert stats.grad_norm_policy > 0.0 and stats.grad_norm_value > 0.0
 
 
+def test_update_holds_one_nets_gradients_and_activations_at_a_time(traced_peak):
+    spec = gripper_bot()
+    cfg = rl.PPOConfig(epochs_per_iter=1, seed=0)   # 64 envs x 32 steps, 4 minibatches
+    policy, value_net = rl.build_nets(spec, cfg)
+    rng = np.random.default_rng(13)
+    shape = (cfg.num_envs, cfg.rollout_horizon)
+    obs = rng.normal(size=shape + (policy.obs_dim,))
+    means = policy.mean(obs.reshape(-1, policy.obs_dim))
+    actions = policy.sample(means, rng.standard_normal(means.shape))
+    batch = rl.RolloutBatch(
+        observations=obs, actions=actions.reshape(shape + (policy.act_dim,)),
+        log_probs=policy.log_prob(means, actions).reshape(shape),
+        values=np.zeros(shape), rewards=np.zeros(shape), dones=np.zeros(shape),
+        bootstrap=np.zeros(cfg.num_envs), advantages=rng.normal(size=shape),
+        returns=rng.normal(size=shape))
+    policy_opt = rl.Adam(policy.parameters(), cfg.learning_rate)
+    value_opt = rl.Adam(value_net.parameters(), cfg.learning_rate)
+
+    stats, peak = traced_peak(rl.ppo_update, policy, value_net, policy_opt, value_opt,
+                              batch, cfg, np.random.default_rng(14))
+    assert stats.minibatch_steps >= 1
+    # one net's gradients, its batch-512 activations and two hidden-width dh
+    batch_size = batch.log_probs.size // cfg.minibatches
+    net_bytes = max(sum(p.nbytes for p in policy.parameters()),
+                    sum(p.nbytes for p in value_net.parameters()))
+    activation_bytes = 8 * batch_size * sum(policy.net.widths[:-1])
+    dh_bytes = 2 * 8 * batch_size * max(HIDDEN_WIDTHS)
+    assert peak <= net_bytes + activation_bytes + dh_bytes + 1e6
+
+
 def test_advantage_normalization_idempotent_under_rescale():
     adv = np.random.default_rng(10).normal(size=256)
     n1 = (adv - adv.mean()) / (adv.std() + 1e-8)
@@ -434,23 +524,15 @@ def test_checkpoint_bytes_follow_the_documented_layout(tmp_path, robot):
                                             spec.dof_effector)
 
 
-def test_checkpoint_streams_without_a_copy_of_the_parameters(tmp_path):
+def test_checkpoint_streams_without_a_copy_of_the_parameters(tmp_path, traced_peak):
     spec = make_robot("hand-bot")
     policy, value_net = rl.build_nets(spec, rl.PPOConfig(seed=0))
     payload = sum(a.nbytes for a in policy.parameters() + value_net.parameters()
                   + [policy.low, policy.high])
     path = tmp_path / "ck.mmrl"
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        rl.save_checkpoint(path, policy, value_net, spec.name, spec.dof_effector)
-        save_peak = tracemalloc.get_traced_memory()[1] - start
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        loaded = rl.load_checkpoint(path)
-        load_peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    _, save_peak = traced_peak(rl.save_checkpoint, path, policy, value_net, spec.name,
+                               spec.dof_effector)
+    loaded, load_peak = traced_peak(rl.load_checkpoint, path)
     del loaded
     assert payload > 30e6
     assert save_peak < 1e6
