@@ -14,7 +14,8 @@ is recomputable from that same block's state and action. The header records
 values that are fixed in the code: the grasp/success thresholds, the control
 step `dt` and the reset distribution (`yaw_range`, `object_height_range`,
 `open_init_angle`, `close_init_range`); a file with other values is
-malformed, and `read` names the field. Recording and replay both step the
+malformed, and `read` names the field. So is a header with an unknown or
+repeated line, or an unknown key in its `config` or `weights` line. Recording and replay both step the
 env through `env.run_episode`, the one episode loop.
 Only successful episodes are stored. Images are not recorded; the header marks
 "sensors: none" for forward compatibility.
@@ -203,6 +204,10 @@ _CONFIG_FIELDS = ("seed", "max_steps", "dt", "base_offset_range", "yaw_range",
                   "grasp_threshold", "success_threshold", "fixed_base")
 _WEIGHT_FIELDS = ("distance", "approach", "grasp", "move", "success",
                   "grasp_threshold", "success_threshold")
+# the header lines between the magic line and END_HEADER, as `write` emits them
+_HEADER_KEYS = ("robot", "object", "skill", "instruction", "seed", "episode", "frames",
+                "success", "sensors", "config", "weights", "layout", "joint_dim",
+                "action_dim", "obs_dim")
 # recorded in the header lines, fixed in the code
 _FIXED = {"dt": DT, "grasp_threshold": GRASP_THRESHOLD,
           "success_threshold": SUCCESS_THRESHOLD, "yaw_range": YAW_RANGE,
@@ -219,6 +224,11 @@ def _from_header_json(cls, line: str, text: str, names):
     """Rebuild a config dataclass from its header line; the fixed values it
     records must be the code's."""
     raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise MalformedTrajectory(f"{line} is not a JSON object")
+    unknown = sorted(raw.keys() - set(names))
+    if unknown:
+        raise MalformedTrajectory(f"{line} has unknown field {unknown[0]!r}")
     values = {k: _dec(raw[k]) for k in names}
     for name in _FIXED.keys() & values.keys():
         value = values.pop(name)
@@ -288,6 +298,10 @@ def read(path) -> Trajectory:
     fields = {}
     for line in header_text.splitlines()[1:]:
         key, _, value = line.partition(": ")
+        if key not in _HEADER_KEYS or key in fields:
+            problem = "repeated" if key in fields else "unknown"
+            raise MalformedTrajectory(
+                f"malformed trajectory {path}: {problem} header line {key!r}")
         fields[key] = value
     try:
         frames = int(fields["frames"])

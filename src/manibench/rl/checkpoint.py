@@ -12,7 +12,9 @@ checks the header before it reads any payload: the named robot must exist,
 both width lists need at least 2 entries, the nets must read the robot's
 observation width and emit its action dim (policy) or 1 (value), the
 effector dof must be the robot's, and the file must hold exactly the payload
-the widths declare. Each failure is a ValueError naming the file.
+the widths declare. After the payload, the stored action low and high must be
+bitwise the robot's `action_bounds`. Each failure is a ValueError naming the
+file.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import numpy as np
 from ..observation import ObservationLayout
 from ..robot import make_robot
 from .net import Mlp
-from .ppo import GaussianPolicy, observation_inv_scale
+from .ppo import GaussianPolicy, action_bounds, observation_inv_scale
 
 MAGIC = b"MMRL"
 VERSION = 1
@@ -116,6 +118,10 @@ def load_checkpoint(path):
         policy_net = _read_mlp(r, policy_widths)
         log_std, low, high = r.f64(act_dim), r.f64(act_dim), r.f64(act_dim)
         value_net = _read_mlp(r, value_widths)
+    for field, got, want in zip(("low", "high"), (low, high), action_bounds(spec)):
+        if got.tobytes() != want.tobytes():
+            raise ValueError(f"checkpoint {path}: action {field} {got.tolist()} is not "
+                             f"robot {spec.name}'s {want.tolist()}")
     # the network-input scaling is a pure function of the robot
     policy = GaussianPolicy(policy_net, log_std, low, high, observation_inv_scale(spec))
     meta = {"robot": robot_name, "dof_effector": dof_effector, "version": version}

@@ -140,13 +140,24 @@ def observation_inv_scale(spec: RobotSpec) -> np.ndarray:
 
 
 class GaussianPolicy:
-    """MLP mean + state-independent log-std, clamped to action limits.
+    """The policy's action distribution, its one owner: a Gaussian with a
+    bounded MLP mean and a state-independent log-std, sampled into the
+    action box.
 
-    The mean is bounded: mean = half_range * tanh(net output). Two failure
-    modes force this at lr 1e-3: an unscaled head moves the mean by tens of
-    physical sigmas (sigma ~ 0.006 m) per Adam step, and an unbounded head
-    drifts outside the action box once sampled actions saturate, after which
-    the importance ratio overflows faster than clipping can react.
+    The mean is bounded: mean = mean_scale * tanh(net output), with
+    mean_scale the half-range of the box. Two failure modes force this at lr
+    1e-3: an unscaled head moves the mean by tens of physical sigmas (sigma ~
+    0.006 m) per Adam step, and an unbounded head drifts outside the action
+    box once sampled actions saturate, after which the importance ratio
+    overflows faster than clipping can react.
+
+    Rollouts and eval use `mean`, `sample` and `log_prob`. Training uses
+    `log_prob_cached` and `backward`: the log-probs of a minibatch, then the
+    gradient of sum(dlp * log_prob) - entropy_coef * entropy with respect to
+    `parameters()`. Every fact of the distribution (the squash, the
+    log-density, the entropy and their gradients) is written here once, so a
+    new parameterisation changes this class and `build_nets`'s initial
+    `log_std` only.
     """
 
     def __init__(self, net: Mlp, log_std: np.ndarray, low: np.ndarray,
@@ -175,8 +186,14 @@ class GaussianPolicy:
     def std(self) -> np.ndarray:
         return np.exp(np.clip(self.log_std, _LOG_STD_MIN, _LOG_STD_MAX))
 
+    def _squash(self, raw: np.ndarray):
+        """(mean, tanh(raw)): the bounded mean of a raw net output, and the
+        tanh the backward's chain rule needs."""
+        squashed = np.tanh(raw)
+        return self.mean_scale * squashed, squashed
+
     def mean(self, obs: np.ndarray) -> np.ndarray:
-        return self.mean_scale * np.tanh(self.net.forward(self.scale_obs(obs)))
+        return self._squash(self.net.forward(self.scale_obs(obs)))[0]
 
     def clamp(self, actions: np.ndarray) -> np.ndarray:
         return np.clip(actions, self.low, self.high)
@@ -184,16 +201,42 @@ class GaussianPolicy:
     def sample(self, mean: np.ndarray, noise: np.ndarray) -> np.ndarray:
         return self.clamp(mean + self.std() * noise)
 
-    def log_prob(self, mean: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    def _log_density(self, mean: np.ndarray, actions: np.ndarray):
+        """(log-probs, z, std) with z = (actions - mean) / std."""
         std = self.std()
         z = (actions - mean) / std
-        return -0.5 * ((z * z).sum(axis=-1)
-                       + 2.0 * np.log(std).sum()
-                       + self.act_dim * _LOG2PI)
+        log_probs = -0.5 * ((z * z).sum(axis=-1)
+                            + 2.0 * np.log(std).sum()
+                            + self.act_dim * _LOG2PI)
+        return log_probs, z, std
+
+    def log_prob(self, mean: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        return self._log_density(mean, actions)[0]
 
     def entropy(self) -> float:
         return float(np.log(self.std()).sum()
                      + 0.5 * self.act_dim * (1.0 + _LOG2PI))
+
+    def log_prob_cached(self, obs_scaled: np.ndarray, actions: np.ndarray):
+        """(log-probs, cache) of `actions` under the policy at the scaled
+        observations; `backward` takes the cache, once."""
+        raw, net_cache = self.net.forward_cached(obs_scaled)
+        mean, squashed = self._squash(raw)
+        log_probs, z, std = self._log_density(mean, actions)
+        return log_probs, (net_cache, squashed, z, std)
+
+    def backward(self, cache, dlp: np.ndarray, entropy_coef: float):
+        """Gradients of sum(dlp * log_prob) - entropy_coef * entropy, in
+        `parameters()` order; `dlp` is dL/dlog_prob per sample. Consumes the
+        net activations in `cache` (see `Mlp.backward`)."""
+        net_cache, squashed, z, std = cache
+        dmean = dlp[:, None] * (z / std)                  # dlog_prob/dmean = z / std
+        dlog_std = (dlp[:, None] * (z * z - 1.0)).sum(axis=0)
+        dlog_std -= entropy_coef * 1.0                    # dH/dlog_std = 1 per dim
+        draw = self.mean_scale * (1.0 - squashed * squashed) * dmean  # tanh'
+        grads, _ = self.net.backward(net_cache, draw)
+        grads.append(dlog_std)
+        return grads
 
     def deterministic_action(self, obs: np.ndarray, env=None) -> np.ndarray:
         return self.clamp(self.mean(obs))
@@ -396,7 +439,13 @@ class UpdateStats:
 def ppo_update(policy: GaussianPolicy, value_net: Mlp, policy_opt: Adam,
                value_opt: Adam, batch: RolloutBatch, cfg: PPOConfig,
                update_rng: np.random.Generator) -> UpdateStats:
-    """Clipped-surrogate update; advantages are normalized per minibatch."""
+    """Clipped-surrogate update; advantages are normalized per minibatch.
+
+    The policy's log-probs and their gradients come from
+    `GaussianPolicy.log_prob_cached` and `GaussianPolicy.backward`; this
+    function forms the ratio, the clipped surrogate and its dL/dlog_prob, the
+    clip fraction, the KL and its guard, and the value regression.
+    """
     if batch.advantages is None or batch.returns is None:
         raise ValueError("batch needs advantages/returns (run compute_gae)")
     obs = batch.observations.reshape(-1, policy.obs_dim)
@@ -426,12 +475,7 @@ def ppo_update(policy: GaussianPolicy, value_net: Mlp, policy_opt: Adam,
                 adv = advantages[idx]
                 adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
-                raw_mean, cache = policy.net.forward_cached(mb_obs_scaled)
-                squashed = np.tanh(raw_mean)
-                mean = policy.mean_scale * squashed
-                log_probs = policy.log_prob(mean, mb_act)
-                std = policy.std()
-                z = (mb_act - mean) / std
+                log_probs, cache = policy.log_prob_cached(mb_obs_scaled, mb_act)
                 # exp guard: a blown ratio still registers as huge finite loss
                 ratio = np.exp(np.minimum(log_probs - mb_old, 50.0))
                 clipped = np.clip(ratio, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
@@ -445,12 +489,7 @@ def ppo_update(policy: GaussianPolicy, value_net: Mlp, policy_opt: Adam,
                 active = np.where(adv >= 0.0, ratio < 1.0 + cfg.clip_ratio,
                                   ratio > 1.0 - cfg.clip_ratio)
                 dlp = -(adv * ratio * active) / b      # dL/dlogpi per sample
-                dmean = dlp[:, None] * (z / std)       # dlogpi/dmean = z/std
-                dlog_std = (dlp[:, None] * (z * z - 1.0)).sum(axis=0)
-                dlog_std -= cfg.entropy_coef * 1.0      # dH/dlogstd = 1 per dim
-                draw = policy.mean_scale * (1.0 - squashed * squashed) * dmean
-                grads, _ = policy.net.backward(cache, draw)
-                grads.append(dlog_std)
+                grads = policy.backward(cache, dlp, cfg.entropy_coef)
                 gnorm_p = clip_gradients(grads, cfg.grad_clip)
                 policy_opt.step(grads)
                 del grads  # freed before the value step allocates its own

@@ -213,6 +213,45 @@ def test_header_dt_other_than_fixed_is_malformed(tmp_path, lid_trajectory):
         ds.read(path)
 
 
+@pytest.mark.parametrize("line,key", [("config", "max_stepz"), ("weights", "bogus")])
+def test_header_unknown_json_field_is_malformed(tmp_path, lid_trajectory, line, key):
+    path = tmp_path / "a.mmt"
+    ds.write(lid_trajectory, path)
+    edit_header_line(path, line, key, 1)
+    with pytest.raises(ds.MalformedTrajectory) as exc:
+        ds.read(path)
+    assert str(exc.value) == f"malformed trajectory {path}: {line} has unknown field '{key}'"
+
+
+@pytest.mark.parametrize("extra,message", [
+    ("bogus: 1", "unknown header line 'bogus'"),
+    ("sensors:none", "unknown header line 'sensors:none'"),
+    ("frames: 0", "repeated header line 'frames'"),
+    ("config: {}", "repeated header line 'config'"),
+])
+def test_header_unknown_or_repeated_line_is_malformed(tmp_path, lid_trajectory, extra,
+                                                      message):
+    path = tmp_path / "a.mmt"
+    ds.write(lid_trajectory, path)
+    head, marker, payload = path.read_bytes().partition(b"\nEND_HEADER\n")
+    path.write_bytes(head + f"\n{extra}".encode("utf-8") + marker + payload)
+    with pytest.raises(ds.MalformedTrajectory) as exc:
+        ds.read(path)
+    assert str(exc.value) == f"malformed trajectory {path}: {message}"
+
+
+def test_header_json_line_that_is_not_an_object_is_malformed(tmp_path, lid_trajectory):
+    path = tmp_path / "a.mmt"
+    ds.write(lid_trajectory, path)
+    head, marker, payload = path.read_bytes().partition(b"\nEND_HEADER\n")
+    lines = [("weights: [1, 2]" if text.startswith("weights: ") else text)
+             for text in head.decode("utf-8").split("\n")]
+    path.write_bytes("\n".join(lines).encode("utf-8") + marker + payload)
+    with pytest.raises(ds.MalformedTrajectory) as exc:
+        ds.read(path)
+    assert str(exc.value) == f"malformed trajectory {path}: weights is not a JSON object"
+
+
 def _frames(traj, rows):
     return dataclasses.replace(
         traj, **{name: getattr(traj, name)[rows] for name in ds._ARRAY_FIELDS})

@@ -260,6 +260,82 @@ def test_policy_log_prob_matches_gaussian():
     np.testing.assert_allclose(lp, expected, atol=1e-12)
 
 
+def _policy_grad_reference(policy, obs_scaled, actions, dlp, entropy_coef):
+    """The policy log-probs and gradients as `ppo_update` wrote them inline
+    before `GaussianPolicy.log_prob_cached` and `GaussianPolicy.backward`."""
+    raw_mean, cache = policy.net.forward_cached(obs_scaled)
+    squashed = np.tanh(raw_mean)
+    mean = policy.mean_scale * squashed
+    std = np.exp(np.clip(policy.log_std, -20.0, 2.0))
+    z = (actions - mean) / std
+    log_probs = -0.5 * ((z * z).sum(axis=-1) + 2.0 * np.log(std).sum()
+                        + policy.act_dim * np.log(2.0 * np.pi))
+    dmean = dlp[:, None] * (z / std)
+    dlog_std = (dlp[:, None] * (z * z - 1.0)).sum(axis=0)
+    dlog_std -= entropy_coef * 1.0
+    draw = policy.mean_scale * (1.0 - squashed * squashed) * dmean
+    grads, _ = policy.net.backward(cache, draw)
+    grads.append(dlog_std)
+    return log_probs, grads
+
+
+def _policy_batch(policy, rng, batch):
+    obs = rng.normal(size=(batch, policy.obs_dim))
+    mean = policy.mean(obs)
+    actions = mean + policy.std() * rng.standard_normal(mean.shape)
+    return obs, actions, rng.normal(size=batch)
+
+
+@pytest.mark.parametrize("entropy_coef", [0.0, 0.01])
+def test_policy_backward_matches_finite_differences(entropy_coef):
+    # L = sum(dlp * log_prob) - c * entropy, through the tanh mean and log_std
+    rng = np.random.default_rng(21)
+    low, high = np.array([-0.02, -0.05, 0.0]), np.array([0.02, 0.05, 0.04])
+    net = rl.init_mlp((4, 8, 6, 3), rng, head_gain=1.0)   # tanh well off its linear range
+    policy = rl.GaussianPolicy(net, np.log(np.array([0.3, 0.2, 0.5]) * 0.5 * (high - low)),
+                               low, high, np.ones(4))
+    obs, actions, dlp = _policy_batch(policy, rng, 6)
+
+    def loss():
+        lp = policy.log_prob(policy.mean(obs), actions)
+        return float((dlp * lp).sum()) - entropy_coef * policy.entropy()
+
+    log_probs, cache = policy.log_prob_cached(policy.scale_obs(obs), actions)
+    assert log_probs.tobytes() == policy.log_prob(policy.mean(obs), actions).tobytes()
+    grads = policy.backward(cache, dlp, entropy_coef)
+    params = policy.parameters()
+    assert [g.shape for g in grads] == [p.shape for p in params]
+    h = 1e-6
+    for k, (p, g) in enumerate(zip(params, grads)):
+        flat = p.ravel()
+        idx = range(flat.size) if p is policy.log_std else rng.integers(0, flat.size, size=5)
+        for i in idx:
+            orig = flat[i]
+            flat[i] = orig + h
+            lp = loss()
+            flat[i] = orig - h
+            lm = loss()
+            flat[i] = orig
+            fd = (lp - lm) / (2 * h)
+            assert abs(g.ravel()[i] - fd) <= 1e-5 * max(abs(fd), 1.0), \
+                f"parameter {k} entry {i}: grad {g.ravel()[i]} vs fd {fd}"
+
+
+@pytest.mark.parametrize("entropy_coef", [0.0, 0.01])
+def test_policy_backward_is_bitwise_the_inline_reference(entropy_coef):
+    policy, _ = rl.build_nets(gripper_bot(), rl.PPOConfig(seed=0))
+    obs, actions, dlp = _policy_batch(policy, np.random.default_rng(22), 64)
+    obs_scaled = policy.scale_obs(obs)
+    want_lp, want_grads = _policy_grad_reference(policy, obs_scaled, actions, dlp,
+                                                 entropy_coef)
+    log_probs, cache = policy.log_prob_cached(obs_scaled, actions)
+    grads = policy.backward(cache, dlp, entropy_coef)
+    assert log_probs.tobytes() == want_lp.tobytes()
+    assert len(grads) == len(want_grads) == len(policy.parameters())
+    for got, want in zip(grads, want_grads):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_log_std_initialized_to_fraction_of_limit():
     spec = gripper_bot()
     policy, _ = rl.build_nets(spec, rl.PPOConfig(seed=0))
@@ -556,6 +632,17 @@ def test_checkpoint_loads_writable_c_contiguous_float64(tmp_path):
 # gripper-bot header: magic 0-4, version 4-8, name length 8-12, "gripper-bot"
 # 12-23, dof_effector 23-27, 6 policy widths 27-55, 6 value widths 55-83
 _GRIPPER_PAYLOAD_START = 83
+_GRIPPER_POLICY_WIDTHS = (146, *HIDDEN_WIDTHS, 7)
+# the policy layers' W and b, then log_std(7), then action low(7) and high(7)
+_GRIPPER_LOW_START = _GRIPPER_PAYLOAD_START + 8 * (
+    sum(n_in * n_out + n_out for n_in, n_out in zip(_GRIPPER_POLICY_WIDTHS,
+                                                    _GRIPPER_POLICY_WIDTHS[1:])) + 7)
+
+
+def _set_f64(data: bytes, offset: int, value: float) -> bytes:
+    return data[:offset] + struct.pack("<d", value) + data[offset + 8:]
+
+
 _CHECKPOINT_EDITS = {
     "bad_magic": (lambda d: b"NOPE" + d[4:], "bad checkpoint magic"),
     "version_2": (lambda d: d[:4] + struct.pack("<I", 2) + d[8:],
@@ -573,6 +660,12 @@ _CHECKPOINT_EDITS = {
                             "robot name is not utf-8"),
     "dof_effector_5": (lambda d: d[:23] + struct.pack("<I", 5) + d[27:],
                        "dof_effector is 5, robot gripper-bot has 1"),
+    "action_low_doubled": (lambda d: _set_f64(d, _GRIPPER_LOW_START, -0.04),
+                           "action low \\[-0.04, -0.02, .*\\] is not robot gripper-bot's"),
+    "action_high_gripper_0_08": (lambda d: _set_f64(d, _GRIPPER_LOW_START + 8 * 13, 0.08),
+                                 "action high \\[.*, 0.08\\] is not robot gripper-bot's"),
+    "action_low_negative_zero": (lambda d: _set_f64(d, _GRIPPER_LOW_START + 8 * 6, -0.0),
+                                 "action low \\[.*, -0.0\\] is not robot gripper-bot's"),
 }
 
 
