@@ -62,10 +62,11 @@ def _cmd_train(cfg: RunConfig) -> int:
     spec = make_robot(cfg.robot)
     t0 = time.time()
 
-    def progress(point, stats):
+    def progress(point, stats, rollout_s, update_s):
         print(f"iteration {point.iteration} return {point.mean_return:.2f} "
               f"success_rate {point.success_rate:.3f} "
-              f"kl {stats.approx_kl:.4f} ({time.time() - t0:.0f}s)",
+              f"kl {stats.approx_kl:.4f} rollout_s {rollout_s:.2f} "
+              f"update_s {update_s:.2f} ({time.time() - t0:.0f}s)",
               file=sys.stderr, flush=True)
 
     result = rl.train(task, spec, cfg.ppo, cfg.episode, progress=progress)
@@ -127,7 +128,7 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = _load_config(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -12,6 +12,7 @@ so a batch is bit-identical for any worker count or scheduling.
 from __future__ import annotations
 
 import concurrent.futures
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ from ..observation import ObservationLayout, check_policy_obs_dim
 from ..reward import RewardWeights
 from ..robot import RobotSpec
 from ..world import TaskSpec
-from .net import HIDDEN_WIDTHS, Adam, Mlp, clip_gradients, init_mlp
+from .net import HIDDEN_WIDTHS, Adam, Mlp, Workspace, clip_gradients, init_mlp
 
 _LOG_STD_MIN, _LOG_STD_MAX = -20.0, 2.0
 _LOG2PI = np.log(2.0 * np.pi)
@@ -217,24 +218,28 @@ class GaussianPolicy:
         return float(np.log(self.std()).sum()
                      + 0.5 * self.act_dim * (1.0 + _LOG2PI))
 
-    def log_prob_cached(self, obs_scaled: np.ndarray, actions: np.ndarray):
+    def log_prob_cached(self, obs_scaled: np.ndarray, actions: np.ndarray, *,
+                        workspace: Workspace | None = None):
         """(log-probs, cache) of `actions` under the policy at the scaled
-        observations; `backward` takes the cache, once."""
-        raw, net_cache = self.net.forward_cached(obs_scaled)
+        observations; `backward` takes the cache, once. The net's activations
+        live in `workspace` (see `Mlp.forward_cached`)."""
+        raw, net_cache = self.net.forward_cached(obs_scaled, workspace=workspace)
         mean, squashed = self._squash(raw)
         log_probs, z, std = self._log_density(mean, actions)
         return log_probs, (net_cache, squashed, z, std)
 
-    def backward(self, cache, dlp: np.ndarray, entropy_coef: float):
+    def backward(self, cache, dlp: np.ndarray, entropy_coef: float, *,
+                 workspace: Workspace | None = None):
         """Gradients of sum(dlp * log_prob) - entropy_coef * entropy, in
         `parameters()` order; `dlp` is dL/dlog_prob per sample. Consumes the
-        net activations in `cache` (see `Mlp.backward`)."""
+        net activations in `cache`; the net's gradients are views of
+        `workspace` (see `Mlp.backward`)."""
         net_cache, squashed, z, std = cache
         dmean = dlp[:, None] * (z / std)                  # dlog_prob/dmean = z / std
         dlog_std = (dlp[:, None] * (z * z - 1.0)).sum(axis=0)
         dlog_std -= entropy_coef * 1.0                    # dH/dlog_std = 1 per dim
         draw = self.mean_scale * (1.0 - squashed * squashed) * dmean  # tanh'
-        grads, _ = self.net.backward(net_cache, draw)
+        grads, _ = self.net.backward(net_cache, draw, workspace=workspace)
         grads.append(dlog_std)
         return grads
 
@@ -445,6 +450,12 @@ def ppo_update(policy: GaussianPolicy, value_net: Mlp, policy_opt: Adam,
     `GaussianPolicy.log_prob_cached` and `GaussianPolicy.backward`; this
     function forms the ratio, the clipped surrogate and its dL/dlog_prob, the
     clip fraction, the KL and its guard, and the value regression.
+
+    Every minibatch step of both nets writes its activations, `dh` and
+    gradients into one `Workspace`, allocated here and released on return,
+    so no step frees arrays that the next one must fault in again. The
+    policy's gradients are dead once `policy_opt.step` has run, before the
+    value net's forward overwrites the workspace.
     """
     if batch.advantages is None or batch.returns is None:
         raise ValueError("batch needs advantages/returns (run compute_gae)")
@@ -455,6 +466,7 @@ def ppo_update(policy: GaussianPolicy, value_net: Mlp, policy_opt: Adam,
     returns = batch.returns.reshape(-1)
     total = obs.shape[0]
     mb_size = total // cfg.minibatches
+    workspace = Workspace((policy.net, value_net), mb_size)
 
     policy_stats = []  # (policy_loss, clip_frac, gnorm_p, approx_kl) per policy step
     value_stats = []   # (value_loss, entropy, gnorm_v) per minibatch step
@@ -475,7 +487,8 @@ def ppo_update(policy: GaussianPolicy, value_net: Mlp, policy_opt: Adam,
                 adv = advantages[idx]
                 adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
-                log_probs, cache = policy.log_prob_cached(mb_obs_scaled, mb_act)
+                log_probs, cache = policy.log_prob_cached(mb_obs_scaled, mb_act,
+                                                          workspace=workspace)
                 # exp guard: a blown ratio still registers as huge finite loss
                 ratio = np.exp(np.minimum(log_probs - mb_old, 50.0))
                 clipped = np.clip(ratio, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
@@ -489,24 +502,22 @@ def ppo_update(policy: GaussianPolicy, value_net: Mlp, policy_opt: Adam,
                 active = np.where(adv >= 0.0, ratio < 1.0 + cfg.clip_ratio,
                                   ratio > 1.0 - cfg.clip_ratio)
                 dlp = -(adv * ratio * active) / b      # dL/dlogpi per sample
-                grads = policy.backward(cache, dlp, cfg.entropy_coef)
-                gnorm_p = clip_gradients(grads, cfg.grad_clip)
+                grads = policy.backward(cache, dlp, cfg.entropy_coef, workspace=workspace)
+                gnorm_p = clip_gradients(grads, cfg.grad_clip, workspace=workspace)
                 policy_opt.step(grads)
-                del grads  # freed before the value step allocates its own
                 if not np.isfinite(policy_loss):
                     raise TrainingDiverged(f"diverged: policy_loss={policy_loss}")
                 policy_stats.append((policy_loss, clip_frac, gnorm_p, approx_kl))
                 if approx_kl > cfg.target_kl:
                     stop_policy = True
 
-            v_raw, vcache = value_net.forward_cached(mb_obs_scaled)
+            v_raw, vcache = value_net.forward_cached(mb_obs_scaled, workspace=workspace)
             v = VALUE_SCALE * v_raw[:, 0]
             value_loss = cfg.value_coef * float(((v - mb_ret) ** 2).mean())
             dv = 2.0 * cfg.value_coef * VALUE_SCALE * (v - mb_ret)[:, None] / b
-            vgrads, _ = value_net.backward(vcache, dv)
-            gnorm_v = clip_gradients(vgrads, cfg.grad_clip)
+            vgrads, _ = value_net.backward(vcache, dv, workspace=workspace)
+            gnorm_v = clip_gradients(vgrads, cfg.grad_clip, workspace=workspace)
             value_opt.step(vgrads)
-            del vgrads
 
             if not np.isfinite(value_loss):
                 raise TrainingDiverged(f"diverged: value_loss={value_loss}")
@@ -564,7 +575,13 @@ def train(task: TaskSpec, robot_spec: RobotSpec, cfg: PPOConfig,
           episode_config: EpisodeConfig | None = None,
           weights: RewardWeights | None = None,
           progress=None) -> TrainResult:
-    """collect -> GAE -> clipped update, for cfg.iterations iterations."""
+    """collect -> GAE -> clipped update, for cfg.iterations iterations.
+
+    After each iteration, `progress(point, stats, rollout_s, update_s)` gets
+    the curve point, the `UpdateStats` and the wall seconds of
+    `collect_rollouts` and of `ppo_update`. The timings go to `progress`
+    only: the curve and the nets do not depend on them.
+    """
     episode_config = episode_config or EpisodeConfig(seed=cfg.seed)
     weights = weights or RewardWeights()
     policy, value_net = build_nets(robot_spec, cfg)
@@ -580,14 +597,18 @@ def train(task: TaskSpec, robot_spec: RobotSpec, cfg: PPOConfig,
     recent_successes: list = []
     try:
         for iteration in range(cfg.iterations):
+            t0 = time.perf_counter()
             batch = collect_rollouts(slots, policy, value_net,
                                      cfg.rollout_horizon, weights,
                                      workers=cfg.workers, pool=pool)
+            rollout_s = time.perf_counter() - t0
             batch.advantages, batch.returns = compute_gae(
                 batch.rewards, batch.values, batch.dones, batch.bootstrap,
                 cfg.gamma, cfg.gae_lambda, timeout_values=batch.timeout_values)
+            t0 = time.perf_counter()
             stats = ppo_update(policy, value_net, policy_opt, value_opt,
                                batch, cfg, update_rng)
+            update_s = time.perf_counter() - t0
             recent_returns = (recent_returns + batch.episode_returns)[-64:]
             recent_successes = (recent_successes + batch.episode_successes)[-64:]
             point = CurvePoint(
@@ -597,7 +618,7 @@ def train(task: TaskSpec, robot_spec: RobotSpec, cfg: PPOConfig,
             )
             curve.append(point)
             if progress is not None:
-                progress(point, stats)
+                progress(point, stats, rollout_s, update_s)
     finally:
         if pool is not None:
             pool.shutdown()

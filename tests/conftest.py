@@ -1,5 +1,6 @@
 """Suite-wide pytest hooks and fixtures."""
 import multiprocessing
+import resource
 import tracemalloc
 
 import pytest
@@ -40,4 +41,15 @@ def traced_peak():
         finally:
             tracemalloc.stop()
         return result, peak
+    return run
+
+
+@pytest.fixture
+def minor_faults():
+    """A function that runs fn(*args, **kwargs) and returns (its result, the
+    minor page faults this process took meanwhile, from `ru_minflt`)."""
+    def run(fn, *args, **kwargs):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        result = fn(*args, **kwargs)
+        return result, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     return run

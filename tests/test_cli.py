@@ -49,6 +49,12 @@ def test_bad_config_exits_two(tmp_path, capsys):
     assert "lerning_rate" in err
 
 
+def test_config_that_is_a_directory_exits_two(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "eval", "--config", str(tmp_path))
+    assert code == 2
+    assert err.startswith("config error:") and str(tmp_path) in err
+
+
 def test_gen_data_stats_replay_round_trip(tmp_path, capsys):
     out_dir = tmp_path / "data"
     code, out, _ = run_cli(capsys, "gen-data", "--task", "laptop", "--skill", "open",
@@ -101,9 +107,13 @@ def test_train_smoke_writes_checkpoint_and_curve(tmp_path, capsys):
         "episode": {"max_steps": 10},
     })
     out_dir = tmp_path / "run"
-    code, out, _ = run_cli(capsys, "train", "--config", str(cfg),
-                           "--out", str(out_dir), "--seed", "1")
+    code, out, err = run_cli(capsys, "train", "--config", str(cfg),
+                             "--out", str(out_dir), "--seed", "1")
     assert code == 0
+    progress = [l for l in err.splitlines() if l.startswith("iteration ")]
+    assert len(progress) == 2
+    for line in progress:
+        assert re.search(r" kl \S+ rollout_s \d+\.\d\d update_s \d+\.\d\d ", line)
     assert (out_dir / "checkpoint.mmrl").is_file()
     curve = (out_dir / "learning_curve.tsv").read_text().splitlines()
     assert curve[0] == "iteration\tmean_return\tsuccess_rate"

@@ -1,4 +1,5 @@
 import re
+import resource
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ from manibench import rl
 from manibench import world as w
 from manibench.env import EpisodeConfig
 from manibench.reward import RewardWeights
-from manibench.rl.net import _ADAM_BLOCK, HIDDEN_WIDTHS
+from manibench.rl.net import _ADAM_BLOCK, HIDDEN_WIDTHS, Workspace
 from manibench.robot import gripper_bot, make_robot
 
 
@@ -120,6 +121,43 @@ def test_backward_is_bitwise_the_reference_and_consumes_its_cache(widths):
     for got, want in zip(grads + [dx], want_grads + [want_dx]):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert cache == [None] * len(cache)
+
+
+@pytest.mark.parametrize("widths", [(5, 3), (5, 8, 6, 3), (146, 64, 64, 32, 32, 7)])
+def test_backward_with_a_shared_workspace_is_bitwise_the_reference(widths):
+    rng = np.random.default_rng(12)
+    nets = [rl.init_mlp(widths, rng, head_gain=1.0),
+            rl.init_mlp(widths[:-1] + (1,), rng, head_gain=1.0)]
+    workspace = Workspace(nets, 33)
+    x = rng.normal(size=(33, widths[0]))
+    x_before = x.copy()
+    for _ in range(2):  # the second round runs in memory the first one used
+        for net in nets:
+            y, cache = net.forward_cached(x, workspace=workspace)
+            assert y.tobytes() == net.forward(x).tobytes()
+            dy = rng.normal(size=y.shape)
+            want_grads, want_dx = _backward_reference(net, list(cache), dy)
+            grads, dx = net.backward(cache, dy, workspace=workspace)
+            for got, want in zip(grads + [dx], want_grads + [want_dx]):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert any(np.shares_memory(got, r) for r in workspace.regions)
+    assert x.tobytes() == x_before.tobytes()  # the input is read, never written
+
+
+def test_calls_without_a_workspace_return_arrays_that_do_not_alias():
+    rng = np.random.default_rng(13)
+    net = small_net(rng)
+    x = rng.normal(size=(4, 5))
+    runs = []
+    for _ in range(2):
+        y, cache = net.forward_cached(x)
+        grads, dx = net.backward(cache, rng.normal(size=y.shape))
+        runs.append([y] + grads + [dx])
+    first, second = runs
+    for a in first:
+        assert not any(np.shares_memory(a, b) for b in second)
+    for i, a in enumerate(first):
+        assert not any(np.shares_memory(a, b) for b in first[i + 1:])
 
 
 def _adam_reference(p, m, v, grads, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -459,9 +497,10 @@ def test_update_stats_average_over_policy_steps_taken():
     assert stats.grad_norm_policy > 0.0 and stats.grad_norm_value > 0.0
 
 
-def test_update_holds_one_nets_gradients_and_activations_at_a_time(traced_peak):
+def _synthetic_update(cfg):
+    """Gripper-bot `build_nets`, their optimizers and a synthetic rollout
+    batch of `cfg`'s shape, for `ppo_update`."""
     spec = gripper_bot()
-    cfg = rl.PPOConfig(epochs_per_iter=1, seed=0)   # 64 envs x 32 steps, 4 minibatches
     policy, value_net = rl.build_nets(spec, cfg)
     rng = np.random.default_rng(13)
     shape = (cfg.num_envs, cfg.rollout_horizon)
@@ -476,17 +515,48 @@ def test_update_holds_one_nets_gradients_and_activations_at_a_time(traced_peak):
         returns=rng.normal(size=shape))
     policy_opt = rl.Adam(policy.parameters(), cfg.learning_rate)
     value_opt = rl.Adam(value_net.parameters(), cfg.learning_rate)
+    return policy, value_net, policy_opt, value_opt, batch
+
+
+def _workspace_bytes(policy, value_net, batch_size):
+    """One net's gradients, one forward's layer outputs and one hidden-width
+    dh: the update's workspace, summed here from the nets' shapes."""
+    grad_bytes = max(sum(p.nbytes for p in policy.net.parameters()),
+                     sum(p.nbytes for p in value_net.parameters()))
+    output_bytes = 8 * batch_size * sum(policy.net.widths[1:])
+    dh_bytes = 8 * batch_size * max(HIDDEN_WIDTHS)
+    return grad_bytes + output_bytes + dh_bytes
+
+
+def test_update_holds_one_nets_gradients_and_activations_at_a_time(traced_peak):
+    cfg = rl.PPOConfig(epochs_per_iter=1, seed=0)   # 64 envs x 32 steps, 4 minibatches
+    policy, value_net, policy_opt, value_opt, batch = _synthetic_update(cfg)
 
     stats, peak = traced_peak(rl.ppo_update, policy, value_net, policy_opt, value_opt,
                               batch, cfg, np.random.default_rng(14))
     assert stats.minibatch_steps >= 1
-    # one net's gradients, its batch-512 activations and two hidden-width dh
+    # the workspace, plus a step's minibatch observations raw and scaled and
+    # the previous step's scaled ones, which live until they are replaced
     batch_size = batch.log_probs.size // cfg.minibatches
-    net_bytes = max(sum(p.nbytes for p in policy.parameters()),
-                    sum(p.nbytes for p in value_net.parameters()))
-    activation_bytes = 8 * batch_size * sum(policy.net.widths[:-1])
-    dh_bytes = 2 * 8 * batch_size * max(HIDDEN_WIDTHS)
-    assert peak <= net_bytes + activation_bytes + dh_bytes + 1e6
+    workspace_bytes = _workspace_bytes(policy, value_net, batch_size)
+    workspace = Workspace((policy.net, value_net), batch_size)
+    assert sum(r.nbytes for r in workspace.regions) == workspace_bytes
+    input_bytes = 3 * 8 * batch_size * policy.obs_dim
+    assert peak <= workspace_bytes + input_bytes + 1e6
+
+
+def test_update_reuses_its_workspace_without_faulting_it_in_again(minor_faults):
+    cfg = rl.PPOConfig(epochs_per_iter=1, seed=0)
+    policy, value_net, policy_opt, value_opt, batch = _synthetic_update(cfg)
+    update_rng = np.random.default_rng(14)
+    for _ in range(2):
+        stats, faults = minor_faults(rl.ppo_update, policy, value_net, policy_opt,
+                                     value_opt, batch, cfg, update_rng)
+    assert stats.minibatch_steps >= 1
+    # freeing and re-faulting each step's arrays costs tens of thousands
+    batch_size = batch.log_probs.size // cfg.minibatches
+    pages = _workspace_bytes(policy, value_net, batch_size) / resource.getpagesize()
+    assert faults < 2 * pages
 
 
 def test_advantage_normalization_idempotent_under_rescale():
@@ -518,8 +588,13 @@ def test_train_curve_length_and_determinism():
     cfg = rl.PPOConfig(num_envs=2, iterations=2, rollout_horizon=4, seed=5)
     econf = EpisodeConfig(seed=5, max_steps=10)
     r1 = rl.train(task, spec, cfg, econf)
-    r2 = rl.train(task, spec, cfg, econf)
+    timings = []
+    r2 = rl.train(task, spec, cfg, econf, progress=lambda point, stats, rollout_s, update_s:
+                  timings.append((rollout_s, update_s)))
     assert len(r1.curve) == 2
+    assert r1.curve == r2.curve  # the timings reach progress only
+    assert len(timings) == 2
+    assert all(isinstance(t, float) and t > 0.0 for pair in timings for t in pair)
     for a, b in zip(r1.policy.parameters(), r2.policy.parameters()):
         np.testing.assert_array_equal(a, b)
 
