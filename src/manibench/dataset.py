@@ -119,17 +119,20 @@ def _object_state_row(state) -> np.ndarray:
 
 def _frame_row(env: Env, action: np.ndarray, obs: np.ndarray, info: dict) -> dict:
     """Every recorded field of the frame a step just produced: recording
-    stores this row and replay compares it column by column."""
+    stacks these rows into columns, replay writes them into its columns.
+    The row holds the step's own arrays, which no later step changes (the
+    env replaces its state arrays, it does not write into them), so only
+    that stacking or writing copies them."""
     robot = env.robot
     return {
         "t": float(env.t),
-        "q": robot.q.copy(),
-        "qdot": robot.qdot.copy(),
-        "qddot": robot.qddot.copy(),
+        "q": robot.q,
+        "qdot": robot.qdot,
+        "qddot": robot.qddot,
         "wrist": np.concatenate([robot.wrist_pose.translation, robot.wrist_pose.rotation]),
         "object_state": _object_state_row(env.object_state),
-        "grasp": np.array(info["grasp_point"], dtype=np.float64),
-        "goal": env.task.goal_point.copy(),
+        "grasp": info["grasp_point"],
+        "goal": env.task.goal_point,
         "f_g": 1.0 if info["f_g"] else 0.0,
         "actions": action,
         "reward_terms": info["terms"].as_array(),
@@ -264,24 +267,30 @@ def write(traj: Trajectory, path) -> None:
         "END_HEADER",
         "",
     ]
-    blocks = []
-    for i in range(traj.length):
-        row = [np.atleast_1d(getattr(traj, name)[i]) for name in _ARRAY_FIELDS]
-        blocks.append(np.concatenate(row))
-    payload = np.concatenate(blocks).astype("<f8").tobytes() if blocks else b""
+    # one (F, frame width) table: the fields' columns side by side, in order
+    table = np.column_stack([getattr(traj, name) for name in _ARRAY_FIELDS])
+    payload = table.astype("<f8", copy=False).tobytes()
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes("\n".join(header).encode("utf-8") + payload)
 
 
 @cache
-def _robot_dims(robot_name: str):
-    """(n_joints, action_dim, observation width, layout dict) of a robot, the
-    dimensions `read` checks a header against; ValueError for an unknown
-    robot. Cached per name: building a `RobotSpec` costs more than a read.
-    Callers compare against the layout dict and must not change it."""
+def _robot(robot_name: str):
+    """(spec, dims) of a robot: the `RobotSpec` replay steps, and the
+    (n_joints, action_dim, observation width, layout dict) that `read` checks
+    a header against; ValueError for an unknown robot. Cached per name:
+    building a `RobotSpec` costs more than a read. Callers must not change
+    either."""
     spec = make_robot(robot_name)
     layout = ObservationLayout.for_robot(spec)
-    return spec.n_joints, spec.action_dim, layout.total, layout.to_dict()
+    return spec, (spec.n_joints, spec.action_dim, layout.total, layout.to_dict())
+
+
+@cache
+def _task(object_name: str, skill: str) -> TaskSpec:
+    """The task replay steps, once per (object, skill); ValueError for an
+    unknown one. Envs only read their task."""
+    return make_task(object_name, skill)
 
 
 def read(path) -> Trajectory:
@@ -322,7 +331,7 @@ def read(path) -> Trajectory:
     # the header must name a robot and a task that exist, in that robot's shape
     obj, skill = meta["object_name"], meta["skill"]
     try:
-        robot_dims = _robot_dims(meta["robot"])
+        _, robot_dims = _robot(meta["robot"])
         if obj not in OBJECT_SKILLS:
             raise ValueError(f"unknown object {obj!r}; expected one of {sorted(OBJECT_SKILLS)}")
         if skill not in OBJECT_SKILLS[obj]:
@@ -351,15 +360,16 @@ def read(path) -> Trajectory:
         raise MalformedTrajectory(
             f"malformed trajectory {path}: binary payload is {actual} bytes, "
             f"expected {expected}, at byte offset {binary_start + min(actual, expected)}")
-    flat = np.frombuffer(data, dtype="<f8", offset=binary_start).astype(np.float64)
+    # a view of the file's bytes; each field is copied out of it once
+    flat = np.frombuffer(data, dtype="<f8", offset=binary_start)
     table = flat.reshape(frames, frame_width) if frames else flat.reshape(0, frame_width)
     arrays = {}
     offset = 0
     for name in _ARRAY_FIELDS:
         width = widths[name]
         chunk = table[:, offset:offset + width]
-        arrays[name] = chunk[:, 0].copy() if width == 1 and name in ("t", "f_g") \
-            else chunk.copy()
+        arrays[name] = (chunk[:, 0] if width == 1 and name in ("t", "f_g")
+                        else chunk).astype(np.float64)
         offset += width
     return Trajectory(config=config, weights=weights, layout=layout, **meta, **arrays)
 
@@ -371,24 +381,40 @@ def read(path) -> Trajectory:
 def replay_trajectory(traj: Trajectory) -> None:
     """Re-run the recorded actions in a fresh env and demand bit-equality.
 
-    Raises ReplayMismatch naming the first diverging step and field.
+    The replayed frames are written into columns shaped like the recorded
+    ones, then each recorded column is compared once, as a whole array.
+    Raises ReplayMismatch naming the first diverging step and, within it,
+    the first field in `_ARRAY_FIELDS` order; a mismatch before an early
+    episode end is reported as the mismatch.
     """
-    env = Env(traj.config, make_task(traj.object_name, traj.skill),
-              make_robot(traj.robot))
+    env = Env(traj.config, _task(traj.object_name, traj.skill), _robot(traj.robot)[0])
     steps = run_episode(env, lambda obs, env: traj.actions[env.t], traj.episode,
                         traj.weights)
+    actual = {name: np.empty_like(getattr(traj, name)) for name in _ARRAY_FIELDS}
     replayed = 0
     for i, (action, obs, info) in zip(range(traj.length), steps):
-        actual = _frame_row(env, action, obs, info)
-        for name in _ARRAY_FIELDS:
-            if not np.array_equal(getattr(traj, name)[i], actual[name]):
-                raise ReplayMismatch(
-                    f"replay mismatch at step {i + 1}, field {name!r}")
+        for name, value in _frame_row(env, action, obs, info).items():
+            actual[name][i] = value
         replayed += 1
+    diverged = None   # (step index, field name) of the earliest mismatch
+    for name in _ARRAY_FIELDS:
+        step = _first_difference(getattr(traj, name)[:replayed], actual[name][:replayed])
+        if step is not None and (diverged is None or step < diverged[0]):
+            diverged = (step, name)
+    if diverged is not None:
+        raise ReplayMismatch(
+            f"replay mismatch at step {diverged[0] + 1}, field {diverged[1]!r}")
     if replayed < traj.length:
         raise ReplayMismatch(f"episode ended early at step {replayed + 1}")
     if not env.success:
         raise ReplayMismatch("replayed episode did not succeed")
+
+
+def _first_difference(recorded: np.ndarray, actual: np.ndarray) -> int | None:
+    """Index of the first frame whose row differs, by `np.array_equal`'s
+    rule (NaN differs from everything, -0.0 equals 0.0); None when all agree."""
+    differs = (recorded != actual).any(axis=tuple(range(1, recorded.ndim)))
+    return int(differs.argmax()) if differs.any() else None
 
 
 # ---------------------------------------------------------------------------

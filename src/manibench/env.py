@@ -58,6 +58,7 @@ from .world import (
     goal_point,
     grasp_point,
     initial_state,
+    movable_frame,
     object_follow,
     validate_skill,
 )
@@ -141,6 +142,7 @@ class Env:
         self.episode = -1
         self.t = 0
         self.done = True  # must reset before stepping
+        self._movable = (None, None)   # (object state, its movable-part rotation)
 
     # ------------------------------------------------------------------
     # reset
@@ -207,6 +209,10 @@ class Env:
         if action.shape != (self.robot_spec.action_dim,):
             raise ValueError(f"action must have shape ({self.robot_spec.action_dim},), "
                              f"got {action.shape}")
+        values = action.tolist()
+        if not all(map(math.isfinite, values)):
+            i = [math.isfinite(v) for v in values].index(False)
+            raise ValueError(f"action[{i}] is {values[i]}, must be finite")
 
         self.robot, _ = apply_action_with_chain(
             self.robot_spec, self.robot, action, fixed_base=self.config.fixed_base)
@@ -219,13 +225,20 @@ class Env:
 
         # Attach when the hand reaches the grasp point, follow while held,
         # detach when the post-step grasp flag drops (no latch). Only a held
-        # object moves, so only then does the grasp point change.
+        # object moves, so only then does the grasp point change; while it
+        # stays, the reward reuses the attach test's mean hand distance.
         state = self.object_state
-        if not state.attached and mean_hand_distance(tips, self.grasp) < GRASP_THRESHOLD:
-            state = attach(obj, state, palm)
+        hand_distance = None
+        if not state.attached:
+            hand_distance = mean_hand_distance(tips, self.grasp)
+            if hand_distance < GRASP_THRESHOLD:
+                state = attach(obj, state, palm)
         if state.attached:
             state = object_follow(obj, state, palm)
             self.grasp = grasp_point(obj, state)
+            hand_distance = None
+        # the grasp point is final for this step: detach does not move it
+        goal_distance = point_distance(self.grasp, self.task.goal_point)
 
         terms = total_reward(
             RewardSnapshot(
@@ -237,13 +250,12 @@ class Env:
                 grasp_point=self.grasp,
                 goal_point=self.task.goal_point,
             ),
-            action, weights)
+            action, weights, hand_distance=hand_distance, goal_distance=goal_distance)
         f_g = terms.f_g
         if state.attached and not f_g:
             state = detach(state)  # moves neither the hand nor the grasp point
         self.object_state = state
 
-        goal_distance = point_distance(self.grasp, self.task.goal_point)
         success_now = goal_distance < SUCCESS_THRESHOLD
         if obj.kind == FREE:
             success_now = success_now and f_g  # unattached free objects can't count
@@ -262,6 +274,17 @@ class Env:
             "attached": state.attached,
         }
         return obs_mod.build_observation(self), terms.total, self.done, info
+
+    def movable_rotation(self) -> np.ndarray:
+        """Rotation vector of the object's movable part. Object states are
+        replaced, never changed in place, so it is recomputed only when
+        `object_state` is a new one (a step that leaves the object alone
+        keeps it)."""
+        state, rotation = self._movable
+        if state is not self.object_state:
+            rotation = movable_frame(self.task.object, self.object_state).rotation
+            self._movable = (self.object_state, rotation)
+        return rotation
 
 
 def run_episode(env: Env, act, episode: int, weights: RewardWeights | None = None):

@@ -24,6 +24,15 @@ def vec3(x: float, y: float, z: float) -> np.ndarray:
     return np.array([x, y, z], dtype=np.float64)
 
 
+def vector_norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a float64 vector by its own arithmetic, the square
+    root of the dot product of its flattened form with itself, without the
+    wrapper's per-call cost. A Python sum of squares would differ in the
+    last bit."""
+    flat = v.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 def unit(v: np.ndarray) -> np.ndarray:
     n = float(np.linalg.norm(v))
     if n == 0.0:

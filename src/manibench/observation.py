@@ -26,17 +26,13 @@ place that checks the vector's length against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import (
-    matrix_to_rotvec,
-    point_distance,
-    points_to_point_distances,
-)
+from .geometry import matrix_to_rotvec, points_to_point_distances
 from .robot import DT, KinematicFrames, RobotSpec
-from .world import movable_frame
 
 if TYPE_CHECKING:
     from .env import Env
@@ -91,7 +87,8 @@ def check_policy_obs_dim(policy, spec: RobotSpec) -> None:
 
 
 def time_embedding(t: int, max_steps: int) -> np.ndarray:
-    """15 interleaved (sin, cos) pairs of 2*pi*k*t/T for k = 1..15."""
+    """15 interleaved (sin, cos) pairs of 2*pi*k*t/T for k = 1..15; a new
+    array on every call."""
     if not 0 <= t <= max_steps:
         raise ValueError(f"t={t} outside [0, {max_steps}]")
     tau = t / max_steps
@@ -103,6 +100,16 @@ def time_embedding(t: int, max_steps: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1024)
+def _time_block(t: int, max_steps: int) -> np.ndarray:
+    """`time_embedding(t, max_steps)`, memoized and read-only: a pure
+    function of (t, max_steps) that every step of every episode repeats.
+    Bounded, since an episode length is a setting."""
+    block = time_embedding(t, max_steps)
+    block.flags.writeable = False
+    return block
+
+
 def _frame_velocities(frames: KinematicFrames, prev: KinematicFrames | None):
     """Finite-difference palm/fingertip velocities over one control step
     `DT`; zeros with no history."""
@@ -111,10 +118,9 @@ def _frame_velocities(frames: KinematicFrames, prev: KinematicFrames | None):
         return np.zeros(3), np.zeros(3), np.zeros((n, 3)), np.zeros((n, 3))
     palm_v = (frames.palm.translation - prev.palm.translation) / DT
     palm_w = _angular_velocity(frames.palm, prev.palm)
-    tips_v = np.empty((n, 3))
+    tips_v = (frames.hand_positions - prev.hand_positions) / DT
     tips_w = np.empty((n, 3))
     for i, (now_point, prev_point) in enumerate(zip(frames.hand_points, prev.hand_points)):
-        tips_v[i] = (now_point.translation - prev_point.translation) / DT
         if _turns_with_palm(now_point, frames) and _turns_with_palm(prev_point, prev):
             tips_w[i] = palm_w    # the same two matrices as the palm's
         else:
@@ -143,24 +149,25 @@ def assemble(layout: ObservationLayout, *, t: int, max_steps: int,
     (offline-replayable); ValueError unless it has `layout.total` entries."""
     palm_v, palm_w, tips_v, tips_w = _frame_velocities(frames, prev_frames)
     palm = frames.palm
-    tips = frames.hand_positions
+    # distance points 9 and 10..10+N are the palm and the hand points: their
+    # rows are the palm and fingertip distances, by point_distance's arithmetic
+    point_distances = points_to_point_distances(frames.distance_points, grasp)
 
     parts = [
-        time_embedding(t, max_steps),
+        _time_block(t, max_steps),
         grasp, movable_rotation, goal,
         palm.translation, palm.rotation, palm_v, palm_w,
-        tips.ravel(),
-        np.concatenate([palm.rotation if _turns_with_palm(hp, frames) else hp.rotation
-                        for hp in frames.hand_points]),
+        frames.hand_positions.ravel(),
+        *(palm.rotation if _turns_with_palm(hp, frames) else hp.rotation
+          for hp in frames.hand_points),
         tips_v.ravel(), tips_w.ravel(),
         q, qdot, qddot,
-        np.array([point_distance(palm.translation, grasp)]),
-        points_to_point_distances(tips, grasp),
-        points_to_point_distances(frames.distance_points, grasp),
+        point_distances[9:10 + len(frames.hand_points)],
+        point_distances,
         grasp - palm.translation,
         prev_action,
     ]
-    values = np.concatenate(parts).astype(np.float64)
+    values = np.concatenate(parts, dtype=np.float64)   # a new array
     if values.shape != (layout.total,):
         raise ValueError(
             f"observation assembled {values.shape[0]} entries, layout wants {layout.total}")
@@ -174,7 +181,7 @@ def build_observation(env: "Env") -> np.ndarray:
         t=env.t,
         max_steps=env.config.max_steps,
         grasp=env.grasp,
-        movable_rotation=movable_frame(env.task.object, env.object_state).rotation,
+        movable_rotation=env.movable_rotation(),
         goal=env.task.goal_point,
         frames=env.frames,
         prev_frames=env.prev_frames,

@@ -26,6 +26,7 @@ from .geometry import (
     point_distance,
     points_to_point_distances,
     rotvec_difference,
+    vector_norm,
 )
 
 GRASP_THRESHOLD = 0.1     # m, mean hand-point distance for the grasp flag
@@ -106,30 +107,45 @@ def reward_approach(action: np.ndarray, reference: np.ndarray, weight: float) ->
     reference = np.asarray(reference, dtype=np.float64)
     if action.shape != reference.shape:
         raise ValueError(f"action/reference shape mismatch: {action.shape} vs {reference.shape}")
-    return -weight * float(np.linalg.norm(action - reference))
+    return -weight * vector_norm(action - reference)
 
 
 def reward_move(action: np.ndarray, palm_position: np.ndarray, goal: np.ndarray,
                 weight: float) -> float:
     """-w * ||a[0:3] - (goal - palm)||; rotation/effector slots do not enter."""
     action = np.asarray(action, dtype=np.float64)
-    return -weight * float(np.linalg.norm(action[0:3] - (goal - palm_position)))
+    return -weight * vector_norm(action[0:3] - (goal - palm_position))
 
 
-def reward_success(grasp: np.ndarray, goal: np.ndarray, weight: float) -> float:
-    """w * 1[|goal - grasp| < SUCCESS_THRESHOLD], strict inequality."""
-    return weight if point_distance(goal, grasp) < SUCCESS_THRESHOLD else 0.0
+def reward_success(grasp: np.ndarray, goal: np.ndarray, weight: float, *,
+                   goal_distance: float | None = None) -> float:
+    """w * 1[|goal - grasp| < SUCCESS_THRESHOLD], strict inequality.
+    `goal_distance`, when given, is `point_distance(goal, grasp)`."""
+    if goal_distance is None:
+        goal_distance = point_distance(goal, grasp)
+    return weight if goal_distance < SUCCESS_THRESHOLD else 0.0
 
 
 def total_reward(snapshot: RewardSnapshot, action: np.ndarray,
-                 weights: RewardWeights) -> RewardTerms:
-    """Compose every term and apply the grasp-flag gate."""
+                 weights: RewardWeights, *, hand_distance: float | None = None,
+                 goal_distance: float | None = None) -> RewardTerms:
+    """Compose every term and apply the grasp-flag gate.
+
+    A caller that already holds the snapshot's mean hand distance
+    (`mean_hand_distance(hand_points, grasp_point)`) or grasp-to-goal
+    distance (`point_distance(grasp_point, goal_point)`, the same bits in
+    either argument order) passes it instead of having it computed again;
+    the terms are the same bits either way.
+    """
     action = np.asarray(action, dtype=np.float64)
-    # the grasp flag and r_d share one mean hand distance
-    hand_distance = mean_hand_distance(snapshot.hand_points, snapshot.grasp_point)
+    # the grasp flag and r_d share one mean hand distance, r_d and r_s one
+    # grasp-to-goal distance
+    if hand_distance is None:
+        hand_distance = mean_hand_distance(snapshot.hand_points, snapshot.grasp_point)
+    if goal_distance is None:
+        goal_distance = point_distance(snapshot.goal_point, snapshot.grasp_point)
     f_g = hand_distance < GRASP_THRESHOLD
-    r_d = -weights.distance * (hand_distance
-                               + point_distance(snapshot.goal_point, snapshot.grasp_point))
+    r_d = -weights.distance * (hand_distance + goal_distance)
     ref_a = reference_approach_action(
         snapshot.palm_position, snapshot.palm_rotation,
         snapshot.palm_rotation_init, snapshot.grasp_point, snapshot.effector_init)
@@ -137,7 +153,8 @@ def total_reward(snapshot: RewardSnapshot, action: np.ndarray,
     r_g = weights.grasp
     r_m = reward_move(action, snapshot.palm_position, snapshot.goal_point,
                       weights.move)
-    r_s = reward_success(snapshot.grasp_point, snapshot.goal_point, weights.success)
+    r_s = reward_success(snapshot.grasp_point, snapshot.goal_point, weights.success,
+                         goal_distance=goal_distance)
     gate = 1.0 if f_g else 0.0
     total = r_d + (1.0 - gate) * r_a + gate * (r_g + r_m + r_s)
     return RewardTerms(r_d=r_d, r_a=r_a, r_g=r_g, r_m=r_m, r_s=r_s,

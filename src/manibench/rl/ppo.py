@@ -170,8 +170,10 @@ class GaussianPolicy:
         self.mean_scale = 0.5 * (high - low)
         self.obs_inv_scale = obs_inv_scale
 
-    def scale_obs(self, obs: np.ndarray) -> np.ndarray:
-        return obs * self.obs_inv_scale
+    def scale_obs(self, obs: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+        """The net's input: `obs` times the per-entry inverse scale, into
+        `out` when given (which may be `obs` itself)."""
+        return np.multiply(obs, self.obs_inv_scale, out=out)
 
     @property
     def obs_dim(self) -> int:
@@ -452,8 +454,9 @@ def ppo_update(policy: GaussianPolicy, value_net: Mlp, policy_opt: Adam,
     clip fraction, the KL and its guard, and the value regression.
 
     Every minibatch step of both nets writes its activations, `dh` and
-    gradients into one `Workspace`, allocated here and released on return,
-    so no step frees arrays that the next one must fault in again. The
+    gradients into one `Workspace`, and its scaled minibatch observations
+    into one array, both allocated here and released on return, so no step
+    frees arrays that the next one must fault in again. The
     policy's gradients are dead once `policy_opt.step` has run, before the
     value net's forward overwrites the workspace.
     """
@@ -467,6 +470,9 @@ def ppo_update(policy: GaussianPolicy, value_net: Mlp, policy_opt: Adam,
     total = obs.shape[0]
     mb_size = total // cfg.minibatches
     workspace = Workspace((policy.net, value_net), mb_size)
+    # every step gathers its minibatch observations into this one array and
+    # scales them there; both nets only read it
+    mb_obs_scaled = np.empty((mb_size, policy.obs_dim))
 
     policy_stats = []  # (policy_loss, clip_frac, gnorm_p, approx_kl) per policy step
     value_stats = []   # (value_loss, entropy, gnorm_v) per minibatch step
@@ -475,11 +481,13 @@ def ppo_update(policy: GaussianPolicy, value_net: Mlp, policy_opt: Adam,
         perm = update_rng.permutation(total)
         for k in range(cfg.minibatches):
             idx = perm[k * mb_size:(k + 1) * mb_size]
-            mb_obs = obs[idx]
+            # mode="clip" gathers straight into the array (the default
+            # "raise" buffers through a temporary); idx is a permutation slice
+            np.take(obs, idx, axis=0, out=mb_obs_scaled, mode="clip")
+            policy.scale_obs(mb_obs_scaled, out=mb_obs_scaled)
             mb_ret = returns[idx]
             b = len(idx)
 
-            mb_obs_scaled = policy.scale_obs(mb_obs)
             entropy = policy.entropy()
             if not stop_policy:
                 mb_act = actions[idx]

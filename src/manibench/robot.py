@@ -29,6 +29,7 @@ from .geometry import (
     rotvec_to_matrix,
     transform,
     vec3,
+    vector_norm,
 )
 
 class IkNotConverged(RuntimeError):
@@ -208,7 +209,8 @@ class RobotSpec:
         return self.joint_limits[9:]
 
     def clamp_q(self, q: np.ndarray) -> np.ndarray:
-        return np.clip(q, self.joint_limits[:, 0], self.joint_limits[:, 1])
+        cs = _compiled(self)
+        return np.asarray(q, dtype=np.float64).clip(cs.q_lo, cs.q_hi)
 
 
 def gripper_bot() -> RobotSpec:
@@ -341,7 +343,8 @@ class KinematicFrames:
 
 
 class _CompiledSpec:
-    """Per-spec constants hoisted out of the kinematics inner loops."""
+    """Per-spec constants hoisted out of the kinematics inner loops, and the
+    memo of the last hand-point offsets."""
 
     def __init__(self, spec: RobotSpec):
         self.mount_t = tuple(spec.base_mount.translation.tolist())
@@ -353,8 +356,30 @@ class _CompiledSpec:
             self.arm.append((tuple(offset.translation.tolist()), a, (a + 1) % 3, (a + 2) % 3))
         self.wrist_t = tuple(spec.wrist_offset.translation.tolist())
         self.palm_t = spec.palm_offset.translation
-        self.limits_lo = spec.joint_limits[0:9, 0].copy()
-        self.limits_hi = spec.joint_limits[0:9, 1].copy()
+        # contiguous limit and rate arrays for ndarray.clip: the same clip as
+        # np.clip on the spec's limit columns, without its wrapper's cost
+        self.q_lo = spec.joint_limits[:, 0].copy()
+        self.q_hi = spec.joint_limits[:, 1].copy()
+        self.limits_lo, self.limits_hi = self.q_lo[0:9], self.q_hi[0:9]
+        self.eff_lo, self.eff_hi = self.q_lo[9:], self.q_hi[9:]
+        self.step_cap = spec.max_velocity * DT
+        self.neg_step_cap = -self.step_cap
+        self.effector = spec.effector
+        # (effector joint bytes, hand_point_offsets at them): the last call's
+        # offsets, one tuple so that threads stepping envs of one spec never
+        # pair a key with another call's offsets
+        self.hand_offsets = (None, None)
+
+    def hand_point_offsets(self, q_eff: np.ndarray):
+        """`effector.hand_point_offsets(q_eff)`, reused while the effector
+        joints stay byte-equal to the previous call's (a pure function of
+        them; callers only read the offsets)."""
+        key = q_eff.tobytes()
+        cached_key, offsets = self.hand_offsets
+        if key != cached_key:
+            offsets = self.effector.hand_point_offsets(q_eff)
+            self.hand_offsets = (key, offsets)
+        return offsets
 
 
 def _compiled(spec: RobotSpec) -> _CompiledSpec:
@@ -458,12 +483,13 @@ def forward_kinematics(spec: RobotSpec, q: np.ndarray,
         chain, wrist = _state.chain, _state.wrist_pose
     _, pw_floats, origins, _ = chain
     rw, pw = wrist.rotation_matrix, wrist.translation
-    pp = pw + rw @ _compiled(spec).palm_t    # the palm offset is a pure translation
+    cs = _compiled(spec)
+    pp = pw + rw @ cs.palm_t    # the palm offset is a pure translation
     palm = Transform.from_matrix(pp, rw)
 
     hand_points = [
         Transform.from_matrix(pp + rw @ local_t, rw if local_r is None else rw @ local_r)
-        for local_t, local_r in spec.effector.hand_point_offsets(q[9:])]
+        for local_t, local_r in cs.hand_point_offsets(q[9:])]
     hand_positions = np.array([t.translation for t in hand_points])
 
     # distance points: the 9 joint origins, the palm, the hand points, then
@@ -516,12 +542,6 @@ _IK_ROT_TOL = 1e-3
 _IK_FAIL_POS = 1e-3
 
 
-def _norm(v: np.ndarray) -> float:
-    """np.linalg.norm of a float64 vector, by its own arithmetic: sqrt(v.v)
-    (a Python sum of squares differs in the last bit)."""
-    return math.sqrt(v.dot(v))
-
-
 def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
              target: Transform, fixed_base: bool = False, _chain=None) -> np.ndarray:
     """Damped-least-squares IK for the wrist pose.
@@ -538,6 +558,7 @@ def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
     """
     cs = _compiled(spec)
     q = np.array(q0, dtype=np.float64)
+    q_body = q[0:9]
     r_target = target.rotation_matrix
     tx, ty, tz = target.translation.tolist()
     cols = slice(2, 9) if fixed_base else slice(0, 9)
@@ -552,8 +573,8 @@ def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
             _chain = None
         rot = matrix_to_rotvec(r_target @ np.array(rw).T)
         e = np.array((tx - pw[0], ty - pw[1], tz - pw[2], *rot.tolist()))
-        pos_err = _norm(e[0:3])
-        if pos_err < _IK_POS_TOL and _norm(e[3:6]) < _IK_ROT_TOL:
+        pos_err = vector_norm(e[0:3])
+        if pos_err < _IK_POS_TOL and vector_norm(e[3:6]) < _IK_ROT_TOL:
             return q
         # residual stall (joint limits / unreachable target): bail out early
         # rather than limit-cycling through the full iteration budget
@@ -567,11 +588,11 @@ def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
         j = _jacobian_from_chain(pw, origins, axes)[:, cols]
         dq = j.T @ np.linalg.solve(j @ j.T + _DLS_DAMPING, e)
         q[cols] += dq
-        q[0:9] = q[0:9].clip(cs.limits_lo, cs.limits_hi)
+        q_body.clip(cs.limits_lo, cs.limits_hi, out=q_body)
     else:
         # Re-measure after the final update.
         _, pw, _, _ = _wrist_chain(spec, q, base_anchor)
-        pos_err = _norm(np.array((tx - pw[0], ty - pw[1], tz - pw[2])))
+        pos_err = vector_norm(np.array((tx - pw[0], ty - pw[1], tz - pw[2])))
     if pos_err > _IK_FAIL_POS:
         raise IkNotConverged(q, pos_err)
     return q
@@ -582,20 +603,22 @@ def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
 # ---------------------------------------------------------------------------
 
 def clamp_norm(v: np.ndarray, limit: float) -> np.ndarray:
-    n = float(np.linalg.norm(v))
+    """v scaled down to norm `limit` if longer; always a new array."""
+    v = np.asarray(v, dtype=np.float64)
+    n = vector_norm(v)
     if n <= limit or n == 0.0:
-        return np.asarray(v, dtype=np.float64).copy()
-    return np.asarray(v, dtype=np.float64) * (limit / n)
+        return v.copy()
+    return v * (limit / n)
 
 
 def apply_action_with_chain(spec: RobotSpec, state: RobotState, action: np.ndarray,
                             fixed_base: bool = False):
     """apply_action core; returns (new state, its wrist chain), the chain
     being the floats the state holds as `chain`."""
+    cs = _compiled(spec)
     d_pos = clamp_norm(action[0:3], spec.pos_step_limit)
     d_rot = clamp_norm(action[3:6], spec.rot_step_limit)
-    eff_lim = spec.effector_limits()
-    eff_target = np.clip(action[6:], eff_lim[:, 0], eff_lim[:, 1])
+    eff_target = action[6:].clip(cs.eff_lo, cs.eff_hi)
 
     wrist = state.wrist_pose
     target = Transform.from_matrix(wrist.translation + d_pos,
@@ -608,14 +631,14 @@ def apply_action_with_chain(spec: RobotSpec, state: RobotState, action: np.ndarr
     except IkNotConverged as exc:
         q_target = exc.best_q
         ik_warning = True
-    targets = q_target.copy()
-    targets[9:] = eff_target
+    # q_target is ik_solve's own copy: it becomes the step, in place
+    q_target[9:] = eff_target
     if fixed_base:
-        targets[0:2] = state.q[0:2]
-
-    step_cap = spec.max_velocity * DT
-    q_new = state.q + np.clip(targets - state.q, -step_cap, step_cap)
-    q_new = spec.clamp_q(q_new)
+        q_target[0:2] = state.q[0:2]
+    q_target -= state.q
+    q_target.clip(cs.neg_step_cap, cs.step_cap, out=q_target)
+    q_new = state.q + q_target
+    q_new.clip(cs.q_lo, cs.q_hi, out=q_new)
 
     qdot_new = (q_new - state.q) / DT
     qddot_new = (qdot_new - state.qdot) / DT

@@ -62,6 +62,40 @@ def test_tracer_sees_every_wrist_chain_call(spans):
     assert chain is new_state.chain and new_state.ik_warning is False
 
 
+def test_tracer_sees_the_reward_and_observation_of_every_step(spans):
+    """`Env.step` calls `reward.total_reward`, `reward.mean_hand_distance` and
+    `observation.build_observation` through the names the tracer wraps: a
+    reuse routed through a private alias would make their per-layer metrics
+    read 0. The step computes its mean hand distance once, except on a step
+    that attaches the object, whose grasp point moves after the attach test."""
+    from manibench import env, robot
+    from manibench.control import ScriptedController
+    from manibench.world import make_task
+
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        episode = env.Env(env.EpisodeConfig(seed=0), make_task("laptop", "open"),
+                          robot.gripper_bot())
+        steps = attaches = 0
+        attached = False
+        for _, _, info in env.run_episode(episode, ScriptedController().deterministic_action, 0):
+            attaches += info["attached"] and not attached
+            attached = info["attached"]
+            steps += 1
+        metrics = spans.per_layer_metrics(tracer, 0.0)
+    finally:
+        tracer.uninstall()
+    calls = {name: n for name, (n, _, _) in tracer.summary().items()}
+    assert episode.success and steps > 1 and attaches >= 1
+    assert calls["env.step"] == calls["reward.total_reward"] == steps
+    assert calls["observation.build_observation"] == steps + 1   # and the reset's
+    assert tracer.counts["reward.mean_hand_distance"] == steps + attaches
+    assert 1.0 < metrics["reward.mean_hand_distance.calls_per_step"] < 1.1
+    assert metrics["reward.total_reward.us"] > 0
+    assert metrics["observation.build_observation.us"] > 0
+
+
 @pytest.fixture
 def workloads(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))

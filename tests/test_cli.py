@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from manibench.cli import main
@@ -351,3 +352,18 @@ def test_replay_malformed_trajectory_exits_one(tmp_path, capsys, lid_file, case)
     assert code == 1
     assert "malformed trajectory" in err and detail in err
     assert "replay_ok" not in out
+
+
+def test_replay_of_a_non_finite_action_names_it(tmp_path, capsys, lid_file):
+    """A NaN in a recorded action fails the replay at that action, not as a
+    mismatch of the joints it would have driven."""
+    from manibench import dataset as ds
+
+    traj = ds.read(lid_file)
+    traj.actions[4, 1] = np.nan
+    path = tmp_path / "nan_action.mmt"
+    ds.write(traj, path)
+    code, out, err = run_cli(capsys, "replay", str(path))
+    assert code == 1
+    assert err == "error: action[1] is nan, must be finite\n"
+    assert "replay_ok" not in out and "mismatch" not in err

@@ -168,6 +168,27 @@ def test_replay_detects_tampered_action(lid_trajectory):
             ds.replay_trajectory(tampered)
 
 
+@pytest.mark.parametrize("edits,message", [
+    # two columns at different steps: the earlier step, whatever its field
+    ((("observations", 6), ("q", 2)), "step 3, field 'q'"),
+    ((("qdot", 5), ("reward_terms", 1)), "step 2, field 'reward_terms'"),
+    # two columns at one step: the first field in _ARRAY_FIELDS order
+    ((("reward_terms", 4), ("qdot", 4), ("observations", 4)), "step 5, field 'qdot'"),
+    ((("observations", 3), ("wrist", 3)), "step 4, field 'wrist'"),
+])
+def test_replay_names_the_earliest_step_then_the_first_field(lid_trajectory, edits,
+                                                             message):
+    """Replay checks each column once, as a whole array, yet names what a
+    frame-by-frame check would. Only the actions drive the replay, so these
+    edits change the recorded columns and not the replayed ones."""
+    import copy
+    tampered = copy.deepcopy(lid_trajectory)
+    for column, row in edits:
+        getattr(tampered, column)[row, -1] += 1e-9
+    with pytest.raises(ds.ReplayMismatch, match=f"{message}$"):
+        ds.replay_trajectory(tampered)
+
+
 def edit_header_line(path, line, key, value):
     """Rewrite one key of a JSON header line ('config' or 'weights')."""
     head, marker, payload = path.read_bytes().partition(b"\nEND_HEADER\n")
@@ -274,6 +295,14 @@ def test_replay_past_episode_end_ended_early(lid_trajectory):
         lid_trajectory.config, max_steps=n - 1))
     with pytest.raises(ds.ReplayMismatch, match="step 1, field 'observations'"):
         ds.replay_trajectory(cut)
+
+
+def test_replay_reports_a_mismatch_before_an_early_end(lid_trajectory):
+    n = lid_trajectory.length
+    longer = _frames(lid_trajectory, [*range(n), n - 1])
+    longer.qddot[n - 2, 0] = np.nan    # NaN differs from everything, itself included
+    with pytest.raises(ds.ReplayMismatch, match=f"step {n - 1}, field 'qddot'$"):
+        ds.replay_trajectory(longer)
 
 
 # ---------------------------------------------------------------------------

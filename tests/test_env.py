@@ -22,8 +22,10 @@ from manibench.env import (
 from manibench.reward import (
     GRASP_THRESHOLD,
     SUCCESS_THRESHOLD,
+    RewardSnapshot,
     RewardWeights,
     mean_hand_distance,
+    total_reward,
 )
 from manibench.rl import evaluate
 from manibench.robot import DT, FRAME_RATE, _wrist_chain, gripper_bot, hand_bot, make_robot
@@ -339,19 +341,35 @@ _CELLS = [(robot, name, skill) for robot in ("gripper-bot", "hand-bot")
 
 @pytest.mark.parametrize("robot,name,skill", _CELLS)
 def test_step_facts_agree_in_every_cell(robot, name, skill):
+    """What a step computes once and reuses equals a fresh computation from
+    the post-step state, byte for byte (-0.0 included): the reward terms,
+    the goal distance and the movable part's rotation."""
     env = Env(EpisodeConfig(seed=0), w.make_task(name, skill), make_robot(robot))
     obs = env.reset(0)
     start = env.layout.slices()["object_state"].start
-    grasp_slot = slice(start, start + 3)
+    grasp_slot, rotation_slot = slice(start, start + 3), slice(start + 3, start + 6)
     np.testing.assert_array_equal(obs[grasp_slot], env.grasp)
     controller = ScriptedController()
+    weights = RewardWeights()
     while not env.done:
-        obs, _, _, info = env.step(controller.action_for(env))
+        action = controller.action_for(env)
+        obs, _, _, info = env.step(action, weights)
         assert info["f_g"] == info["terms"].f_g
         np.testing.assert_array_equal(obs[grasp_slot], info["grasp_point"])
         # the kept grasp point is the one the post-step state yields
         np.testing.assert_array_equal(
             info["grasp_point"], w.grasp_point(env.task.object, env.object_state))
+        palm = env.frames.palm
+        fresh = total_reward(RewardSnapshot(
+            hand_points=env.frames.hand_positions, palm_position=palm.translation,
+            palm_rotation=palm.rotation, palm_rotation_init=env.palm_rotation_init,
+            effector_init=env.effector_init, grasp_point=env.grasp,
+            goal_point=env.task.goal_point), action, weights)
+        assert info["terms"].as_array().tobytes() == fresh.as_array().tobytes()
+        assert info["terms"].f_g == fresh.f_g
+        assert info["goal_distance"] == geo.point_distance(env.task.goal_point, env.grasp)
+        movable = w.movable_frame(env.task.object, env.object_state).rotation
+        assert obs[rotation_slot].tobytes() == movable.tobytes()
     assert env.success
 
 
@@ -386,6 +404,37 @@ def test_step_rejects_action_of_wrong_shape(shape):
     with pytest.raises(ValueError, match=rf"shape \(7,\), got {re.escape(str(shape))}"):
         env.step(np.zeros(shape))
     assert env.t == 0
+
+
+@pytest.mark.parametrize("index,value", [(1, np.nan), (2, -np.inf), (6, np.inf)])
+def test_step_rejects_a_non_finite_action(index, value):
+    """A NaN in d_pos would make q, the observation and the reward NaN, and
+    an infinite effector target the reward -inf, all without an IK warning:
+    the step names the first non-finite entry instead and changes nothing."""
+    env = make_env(seed=0)
+    env.reset(0)
+    robot, frames = env.robot, env.frames
+    action = np.zeros(7)
+    action[index] = value
+    action[index + 1:] = np.nan
+    with pytest.raises(ValueError, match=rf"^action\[{index}\] is {value}, must be finite$"):
+        env.step(action)
+    assert env.t == 0 and env.robot is robot and env.frames is frames
+
+
+def test_a_returned_observation_is_the_callers_own():
+    """Writing into an observation changes neither the env's next one nor
+    another env's, although every step reads the same memoized time block."""
+    env, other = make_env(seed=0), make_env(seed=0)
+    mine, theirs = env.reset(0), other.reset(0)
+    before = theirs.copy()
+    mine[:] = 7.0
+    assert theirs.tobytes() == before.tobytes()
+    action = np.full(7, 0.01)
+    for _ in range(3):
+        mine, theirs = env.step(action)[0], other.step(action)[0]
+        assert mine.tobytes() == theirs.tobytes()
+        mine[:] = -7.0
 
 
 def test_control_rate_is_fixed_not_a_config_field():

@@ -47,6 +47,22 @@ def test_embedding_rejects_out_of_range():
         time_embedding(-1, 300)
 
 
+def test_embedding_is_a_fresh_writable_array():
+    """The observation memoizes its time block read-only; the public
+    function still hands every caller an array of its own."""
+    first = time_embedding(7, 300)
+    assert first.flags.writeable and first.flags.owndata
+    first[:] = 0.0
+    second = time_embedding(7, 300)
+    assert second is not first and second.flags.writeable
+    assert second.tobytes() != first.tobytes()
+    env = make_env(gripper_bot(), seed=0)
+    env.reset(0)
+    for _ in range(7):
+        obs, _, _, _ = env.step(np.zeros(7))
+    assert obs[env.layout.slices()["time"]].tobytes() == second.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # layout / lengths
 # ---------------------------------------------------------------------------

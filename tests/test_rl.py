@@ -535,13 +535,13 @@ def test_update_holds_one_nets_gradients_and_activations_at_a_time(traced_peak):
     stats, peak = traced_peak(rl.ppo_update, policy, value_net, policy_opt, value_opt,
                               batch, cfg, np.random.default_rng(14))
     assert stats.minibatch_steps >= 1
-    # the workspace, plus a step's minibatch observations raw and scaled and
-    # the previous step's scaled ones, which live until they are replaced
+    # the workspace, plus the one array every step gathers and scales its
+    # minibatch observations into
     batch_size = batch.log_probs.size // cfg.minibatches
     workspace_bytes = _workspace_bytes(policy, value_net, batch_size)
     workspace = Workspace((policy.net, value_net), batch_size)
     assert sum(r.nbytes for r in workspace.regions) == workspace_bytes
-    input_bytes = 3 * 8 * batch_size * policy.obs_dim
+    input_bytes = 8 * batch_size * policy.obs_dim
     assert peak <= workspace_bytes + input_bytes + 1e6
 
 
