@@ -14,8 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .env import run_episode
-from .geometry import rotvec_difference
-from .reward import reference_approach_action
 
 
 class ScriptedController:
@@ -29,15 +27,14 @@ class ScriptedController:
         return self.action_for(env)
 
     def action_for(self, env) -> np.ndarray:
-        palm = env.frames.palm
-        grasp = env.grasp
+        """A new action array; the rotation slot, and before the grasp the
+        whole action, is the env's reference approach action."""
+        reference = env.reference_action()
         if not env.object_state.attached:
-            return reference_approach_action(
-                palm.translation, palm.rotation, env.palm_rotation_init,
-                grasp, env.effector_init)
+            return reference.copy()
         action = np.empty(env.robot_spec.action_dim)
-        action[0:3] = env.task.goal_point - grasp
-        action[3:6] = rotvec_difference(env.palm_rotation_init, palm.rotation)
+        action[0:3] = env.task.goal_point - env.grasp
+        action[3:6] = reference[3:6]
         action[6:] = env.effector_init
         return action
 

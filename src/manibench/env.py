@@ -35,13 +35,14 @@ from typing import ClassVar
 import numpy as np
 
 from . import observation as obs_mod
-from .geometry import Transform, point_distance, vec3
+from .geometry import Transform, point_distance, rotvec_to_matrix, vec3
 from .reward import (
     GRASP_THRESHOLD,
     SUCCESS_THRESHOLD,
     RewardSnapshot,
     RewardWeights,
     mean_hand_distance,
+    reference_approach_action,
     total_reward,
 )
 from .robot import (
@@ -183,7 +184,9 @@ class Env:
                                          _state=self.robot)
         self.prev_frames = None
         self.palm_rotation_init = self.frames.palm.rotation.copy()
+        self._palm_matrix_init = rotvec_to_matrix(self.palm_rotation_init)
         self.effector_init = self.robot.q[9:].copy()
+        self._reference = None   # computed on first read
 
         goal = goal_point(TaskSpec(object=placed, skill=skill), self.object_state,
                           robot_base_xy=np.array([dx, dy]))
@@ -239,6 +242,7 @@ class Env:
             hand_distance = None
         # the grasp point is final for this step: detach does not move it
         goal_distance = point_distance(self.grasp, self.task.goal_point)
+        self._reference = None   # the palm and the grasp point are final too
 
         terms = total_reward(
             RewardSnapshot(
@@ -250,7 +254,8 @@ class Env:
                 grasp_point=self.grasp,
                 goal_point=self.task.goal_point,
             ),
-            action, weights, hand_distance=hand_distance, goal_distance=goal_distance)
+            action, weights, hand_distance=hand_distance, goal_distance=goal_distance,
+            reference_action=self.reference_action())
         f_g = terms.f_g
         if state.attached and not f_g:
             state = detach(state)  # moves neither the hand nor the grasp point
@@ -274,6 +279,18 @@ class Env:
             "attached": state.attached,
         }
         return obs_mod.build_observation(self), terms.total, self.done, info
+
+    def reference_action(self) -> np.ndarray:
+        """The reward's reference approach action at the current state: the
+        palm, the grasp point and the episode's initial values. A step
+        computes it once for its reward; after a reset it is computed on
+        first read. The env keeps the array: callers must not write into it."""
+        if self._reference is None:
+            palm = self.frames.palm
+            self._reference = reference_approach_action(
+                palm.translation, palm.rotation, self.palm_rotation_init, self.grasp,
+                self.effector_init, init_matrix=self._palm_matrix_init)
+        return self._reference
 
     def movable_rotation(self) -> np.ndarray:
         """Rotation vector of the object's movable part. Object states are

@@ -33,6 +33,14 @@ def vector_norm(v: np.ndarray) -> float:
     return math.sqrt(flat.dot(flat))
 
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two 3-vectors: its products and differences, on Python
+    floats, without the wrapper's per-call cost."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+
+
 def unit(v: np.ndarray) -> np.ndarray:
     n = float(np.linalg.norm(v))
     if n == 0.0:
@@ -64,23 +72,28 @@ def rotvec_to_matrix(r: np.ndarray) -> np.ndarray:
     Spelled out componentwise on Python floats: this sits on the kinematics
     hot path, where numpy's per-call overhead would dominate.
     """
-    x, y, z = np.asarray(r, dtype=np.float64).tolist()
+    return np.array(rotvec_rows(*np.asarray(r, dtype=np.float64).tolist()))
+
+
+def rotvec_rows(x: float, y: float, z: float) -> list:
+    """`rotvec_to_matrix((x, y, z))` as three row lists of Python floats,
+    for callers that stack several matrices into one array."""
     sq = x * x + y * y + z * z
     angle = math.sqrt(sq)
     if angle < _TINY_ANGLE:
         # I + K + K^2/2 with K = skew(r)
-        return np.array([
+        return [
             [1.0 - 0.5 * (y * y + z * z), -z + 0.5 * x * y, y + 0.5 * x * z],
             [z + 0.5 * x * y, 1.0 - 0.5 * (x * x + z * z), -x + 0.5 * y * z],
             [-y + 0.5 * x * z, x + 0.5 * y * z, 1.0 - 0.5 * (x * x + y * y)],
-        ])
+        ]
     a = math.sin(angle) / angle
     b = (1.0 - math.cos(angle)) / sq
-    return np.array([
+    return [
         [1.0 - b * (y * y + z * z), b * x * y - a * z, b * x * z + a * y],
         [b * x * y + a * z, 1.0 - b * (x * x + z * z), b * y * z - a * x],
         [b * x * z - a * y, b * y * z + a * x, 1.0 - b * (x * x + y * y)],
-    ])
+    ]
 
 
 def matrix_to_rotvec(m: np.ndarray) -> np.ndarray:
@@ -115,13 +128,18 @@ def matrix_to_rotvec(m: np.ndarray) -> np.ndarray:
     return np.array([x * k, y * k, z * k])
 
 
-def rotvec_difference(target: np.ndarray, current: np.ndarray) -> np.ndarray:
+def rotvec_difference(target: np.ndarray, current: np.ndarray, *,
+                      target_matrix: np.ndarray | None = None) -> np.ndarray:
     """Rotation vector taking `current` to `target`: rotvec(R_t @ R_c^T).
 
     This is the group-consistent replacement for componentwise subtraction
-    of rotation vectors, which is not well-defined across charts.
+    of rotation vectors, which is not well-defined across charts. A caller
+    that holds `rotvec_to_matrix(target)` (an episode constant) passes it
+    as `target_matrix`; the result is the same bits.
     """
-    return matrix_to_rotvec(rotvec_to_matrix(target) @ rotvec_to_matrix(current).T)
+    if target_matrix is None:
+        target_matrix = rotvec_to_matrix(target)
+    return matrix_to_rotvec(target_matrix @ rotvec_to_matrix(current).T)
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +166,14 @@ class Transform:
         self._matrix = None
 
     @classmethod
-    def from_matrix(cls, translation: np.ndarray, rotation_matrix: np.ndarray) -> "Transform":
-        """Transform from a float64 (3,) translation and (3, 3) rotation matrix."""
+    def from_matrix(cls, translation: np.ndarray, rotation_matrix: np.ndarray,
+                    rotation: np.ndarray | None = None) -> "Transform":
+        """Transform from a float64 (3,) translation and (3, 3) rotation
+        matrix; `rotation`, when the caller holds it, is the matrix's
+        rotation vector (`matrix_to_rotvec(rotation_matrix)`)."""
         t = cls.__new__(cls)
         t.translation = translation
-        t._rotation = None
+        t._rotation = rotation
         t._matrix = rotation_matrix
         return t
 

@@ -112,32 +112,33 @@ def _time_block(t: int, max_steps: int) -> np.ndarray:
 
 def _frame_velocities(frames: KinematicFrames, prev: KinematicFrames | None):
     """Finite-difference palm/fingertip velocities over one control step
-    `DT`; zeros with no history."""
-    n = len(frames.hand_points)
+    `DT`; zeros with no history. Angular velocities are
+    rotvec(R_t @ R_{t-1}^T) / DT, the world-frame rotation over one step;
+    hand points without rotations of their own (gripper fingertips) take
+    the palm's."""
+    n = len(frames.hand_positions)
     if prev is None:
         return np.zeros(3), np.zeros(3), np.zeros((n, 3)), np.zeros((n, 3))
     palm_v = (frames.palm.translation - prev.palm.translation) / DT
-    palm_w = _angular_velocity(frames.palm, prev.palm)
+    palm_w = matrix_to_rotvec(
+        frames.palm.rotation_matrix @ prev.palm.rotation_matrix.T) / DT
     tips_v = (frames.hand_positions - prev.hand_positions) / DT
-    tips_w = np.empty((n, 3))
-    for i, (now_point, prev_point) in enumerate(zip(frames.hand_points, prev.hand_points)):
-        if _turns_with_palm(now_point, frames) and _turns_with_palm(prev_point, prev):
-            tips_w[i] = palm_w    # the same two matrices as the palm's
-        else:
-            tips_w[i] = _angular_velocity(now_point, prev_point)
+    if frames.hand_rotations is None:
+        tips_w = np.empty((n, 3))
+        tips_w[:] = palm_w
+    else:
+        # one stacked product, with each fingertip's own R_t @ R_{t-1}^T bits
+        turns = np.matmul(frames.hand_rotations, prev.hand_rotations.transpose(0, 2, 1))
+        tips_w = np.array([matrix_to_rotvec(turn) for turn in turns]) / DT
     return palm_v, palm_w, tips_v, tips_w
 
 
-def _turns_with_palm(point, frames: KinematicFrames) -> bool:
-    """True for a hand point holding the palm's own rotation matrix (a
-    gripper fingertip): its rotation vector and angular velocity are the
-    palm's, so they are reused rather than recomputed."""
-    return point.rotation_matrix is frames.palm.rotation_matrix
-
-
-def _angular_velocity(now, prev) -> np.ndarray:
-    """rotvec(R_t @ R_{t-1}^T) / DT: the world-frame rotation over one step."""
-    return matrix_to_rotvec(now.rotation_matrix @ prev.rotation_matrix.T) / DT
+def _hand_point_rotations(frames: KinematicFrames) -> list:
+    """Rotation vectors of the hand points; the palm's for points without
+    rotations of their own."""
+    if frames.hand_rotations is None:
+        return [frames.palm.rotation] * len(frames.hand_positions)
+    return [matrix_to_rotvec(r) for r in frames.hand_rotations]
 
 
 def assemble(layout: ObservationLayout, *, t: int, max_steps: int,
@@ -158,11 +159,10 @@ def assemble(layout: ObservationLayout, *, t: int, max_steps: int,
         grasp, movable_rotation, goal,
         palm.translation, palm.rotation, palm_v, palm_w,
         frames.hand_positions.ravel(),
-        *(palm.rotation if _turns_with_palm(hp, frames) else hp.rotation
-          for hp in frames.hand_points),
+        *_hand_point_rotations(frames),
         tips_v.ravel(), tips_w.ravel(),
         q, qdot, qddot,
-        point_distances[9:10 + len(frames.hand_points)],
+        point_distances[9:10 + len(frames.hand_positions)],
         point_distances,
         grasp - palm.translation,
         prev_action,

@@ -78,25 +78,30 @@ class RewardSnapshot:
 
 
 def mean_hand_distance(hand_points: np.ndarray, grasp: np.ndarray) -> float:
-    """(1/N) sum_i CD({hand_i}, {grasp}); singleton chamfer = point distance."""
+    """(1/N) sum_i CD({hand_i}, {grasp}); singleton chamfer = point distance.
+    The mean is `ndarray.mean`'s own arithmetic (one sum, then one division
+    by the count) without its wrapper's per-call cost."""
     hand_points = np.atleast_2d(hand_points)
     if hand_points.shape[0] == 0:
         raise ValueError("empty point set")
-    return float(points_to_point_distances(hand_points, grasp).mean())
+    return float(points_to_point_distances(hand_points, grasp).sum() / hand_points.shape[0])
 
 
 def reference_approach_action(palm_position: np.ndarray, palm_rotation: np.ndarray,
                               palm_rotation_init: np.ndarray, grasp: np.ndarray,
-                              effector_init: np.ndarray) -> np.ndarray:
+                              effector_init: np.ndarray, *,
+                              init_matrix: np.ndarray | None = None) -> np.ndarray:
     """Reference pre-grasp action: reach the grasp point, hold the initial
     palm rotation, keep the effector at its initial (open) joints.
 
     The rotation slot is the group-consistent difference rotvec(R_init R^-1),
-    not a componentwise subtraction of rotation vectors.
+    not a componentwise subtraction of rotation vectors. `init_matrix`,
+    when given, is `rotvec_to_matrix(palm_rotation_init)`.
     """
     out = np.empty(6 + len(effector_init))
     out[0:3] = grasp - palm_position
-    out[3:6] = rotvec_difference(palm_rotation_init, palm_rotation)
+    out[3:6] = rotvec_difference(palm_rotation_init, palm_rotation,
+                                 target_matrix=init_matrix)
     out[6:] = effector_init
     return out
 
@@ -128,14 +133,17 @@ def reward_success(grasp: np.ndarray, goal: np.ndarray, weight: float, *,
 
 def total_reward(snapshot: RewardSnapshot, action: np.ndarray,
                  weights: RewardWeights, *, hand_distance: float | None = None,
-                 goal_distance: float | None = None) -> RewardTerms:
+                 goal_distance: float | None = None,
+                 reference_action: np.ndarray | None = None) -> RewardTerms:
     """Compose every term and apply the grasp-flag gate.
 
     A caller that already holds the snapshot's mean hand distance
-    (`mean_hand_distance(hand_points, grasp_point)`) or grasp-to-goal
+    (`mean_hand_distance(hand_points, grasp_point)`), grasp-to-goal
     distance (`point_distance(grasp_point, goal_point)`, the same bits in
-    either argument order) passes it instead of having it computed again;
-    the terms are the same bits either way.
+    either argument order) or reference approach action
+    (`reference_approach_action` of the snapshot's palm, grasp and initial
+    values) passes it instead of having it computed again; the terms are
+    the same bits either way.
     """
     action = np.asarray(action, dtype=np.float64)
     # the grasp flag and r_d share one mean hand distance, r_d and r_s one
@@ -146,10 +154,11 @@ def total_reward(snapshot: RewardSnapshot, action: np.ndarray,
         goal_distance = point_distance(snapshot.goal_point, snapshot.grasp_point)
     f_g = hand_distance < GRASP_THRESHOLD
     r_d = -weights.distance * (hand_distance + goal_distance)
-    ref_a = reference_approach_action(
-        snapshot.palm_position, snapshot.palm_rotation,
-        snapshot.palm_rotation_init, snapshot.grasp_point, snapshot.effector_init)
-    r_a = reward_approach(action, ref_a, weights.approach)
+    if reference_action is None:
+        reference_action = reference_approach_action(
+            snapshot.palm_position, snapshot.palm_rotation,
+            snapshot.palm_rotation_init, snapshot.grasp_point, snapshot.effector_init)
+    r_a = reward_approach(action, reference_action, weights.approach)
     r_g = weights.grasp
     r_m = reward_move(action, snapshot.palm_position, snapshot.goal_point,
                       weights.move)

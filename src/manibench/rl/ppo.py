@@ -11,9 +11,9 @@ so a batch is bit-identical for any worker count or scheduling.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from ..reward import RewardWeights
 from ..robot import RobotSpec
 from ..world import TaskSpec
 from .net import HIDDEN_WIDTHS, Adam, Mlp, Workspace, clip_gradients, init_mlp
+
+if TYPE_CHECKING:
+    import concurrent.futures
 
 _LOG_STD_MIN, _LOG_STD_MAX = -20.0, 2.0
 _LOG2PI = np.log(2.0 * np.pi)
@@ -372,6 +375,7 @@ def collect_rollouts(slots, policy: GaussianPolicy, value_net: Mlp, horizon: int
     )
     own_pool = None
     if pool is None and workers > 1:
+        import concurrent.futures   # only the pool path pays for the import
         own_pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
         pool = own_pool
     truncations = []  # (slot index, t, terminal observation)
@@ -597,8 +601,10 @@ def train(task: TaskSpec, robot_spec: RobotSpec, cfg: PPOConfig,
     value_opt = Adam(value_net.parameters(), cfg.learning_rate)
     update_rng = _init_rng(cfg.seed, _STREAM_UPDATE)
     slots = make_slots(task, robot_spec, episode_config, cfg.num_envs)
-    pool = (concurrent.futures.ThreadPoolExecutor(max_workers=cfg.workers)
-            if cfg.workers > 1 else None)
+    pool = None
+    if cfg.workers > 1:
+        import concurrent.futures   # only the pool path pays for the import
+        pool = concurrent.futures.ThreadPoolExecutor(max_workers=cfg.workers)
 
     curve = []
     recent_returns: list = []

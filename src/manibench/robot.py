@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import (
     Transform,
     matrix_to_rotvec,
+    rotvec_rows,
     rotvec_to_matrix,
     transform,
     vec3,
@@ -35,14 +37,15 @@ from .geometry import (
 class IkNotConverged(RuntimeError):
     """Raised when DLS leaves a position residual above 1e-3 m.
 
-    Carries the best-effort joint vector; callers treat the wrist as
-    best-effort and keep the episode running.
+    Carries the best-effort joint vector and the wrist chain at it; callers
+    treat the wrist as best-effort and keep the episode running.
     """
 
-    def __init__(self, best_q: np.ndarray, residual: float):
+    def __init__(self, best_q: np.ndarray, residual: float, chain):
         super().__init__(f"ik_not_converged (residual {residual:.2e} m)")
         self.best_q = best_q
         self.residual = residual
+        self.chain = chain
 
 
 # ---------------------------------------------------------------------------
@@ -71,14 +74,12 @@ class GripperSpec:
         return np.array([self.joint_limits[0][1]])
 
     def hand_point_offsets(self, q: np.ndarray):
-        """Palm-local (translation, rotation matrix) per hand point: L tip,
-        R tip, root. The fingertips do not rotate: the matrix is None."""
+        """Palm-local hand points L tip, R tip, root: their (3, 3)
+        translations, and None for their rotations, since the fingertips
+        do not rotate."""
         half = self.tip_lateral_base + float(q[0])
-        return [
-            (vec3(half, 0.0, 0.0), None),
-            (vec3(-half, 0.0, 0.0), None),
-            (vec3(0.0, -self.knuckle_back, 0.0), None),
-        ]
+        return np.array([[half, 0.0, 0.0], [-half, 0.0, 0.0],
+                         [0.0, -self.knuckle_back, 0.0]]), None
 
 
 @dataclass(frozen=True)
@@ -111,12 +112,24 @@ class HandSpec:
         return np.zeros(self.dof)
 
     def hand_point_offsets(self, q: np.ndarray):
-        """Palm-local (translation, rotation matrix) per fingertip."""
-        out = []
-        for f in self.fingers:
-            rot = rotvec_to_matrix(f.axis * float(q[f.joint_index]))
-            out.append((f.knuckle + rot @ f.tip_offset, rot))
-        return out
+        """Palm-local fingertips: their (N, 3) translations and (N, 3, 3)
+        rotation matrices. Each curl matrix is `rotvec_to_matrix(axis *
+        angle)`'s floats, and one stacked product turns the tip offsets,
+        with each finger's own `rot @ tip_offset` bits."""
+        axes, joints, knuckles, tips = self._stacked_fingers
+        q = q.tolist()
+        rots = np.array([rotvec_rows(ax * q[j], ay * q[j], az * q[j])
+                         for (ax, ay, az), j in zip(axes, joints)])
+        return knuckles + np.matmul(rots, tips)[:, :, 0], rots
+
+    @cached_property
+    def _stacked_fingers(self):
+        """The fingers' constants: curl axes as float triples, driving
+        joints, knuckles (N, 3) and tip offsets as (N, 3, 1) columns."""
+        return ([tuple(f.axis.tolist()) for f in self.fingers],
+                [f.joint_index for f in self.fingers],
+                np.array([f.knuckle for f in self.fingers]),
+                np.array([f.tip_offset for f in self.fingers])[:, :, None])
 
 
 def _default_hand_fingers() -> tuple:
@@ -336,8 +349,9 @@ def make_initial_state(spec: RobotSpec, base_anchor: Transform,
 class KinematicFrames:
     wrist: Transform
     palm: Transform
-    hand_points: list            # N palm-chained Transforms
     hand_positions: np.ndarray   # (N, 3) world positions of the hand points
+    hand_rotations: np.ndarray | None   # (N, 3, 3) their world rotation
+                                        # matrices; None: each is the palm's
     distance_points: np.ndarray  # (15|22, 3) world positions
     joint_origins: np.ndarray    # (9, 3) base+arm joint origins
 
@@ -470,7 +484,9 @@ def forward_kinematics(spec: RobotSpec, q: np.ndarray,
     """World frames for wrist, palm, hand points, and distance points.
 
     _state lets the env hand over the RobotState at q, whose wrist chain and
-    wrist pose are reused rather than recomputed.
+    wrist pose are reused rather than recomputed. The hand points go
+    through stacked products (`np.matmul` over the points), which give each
+    point's own `rw @ t` and `rw @ R` bits.
     """
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (spec.n_joints,):
@@ -484,13 +500,14 @@ def forward_kinematics(spec: RobotSpec, q: np.ndarray,
     _, pw_floats, origins, _ = chain
     rw, pw = wrist.rotation_matrix, wrist.translation
     cs = _compiled(spec)
-    pp = pw + rw @ cs.palm_t    # the palm offset is a pure translation
-    palm = Transform.from_matrix(pp, rw)
+    # the palm offset is a pure translation: the palm has the wrist's
+    # rotation, matrix and rotation vector alike
+    pp = pw + rw @ cs.palm_t
+    palm = Transform.from_matrix(pp, rw, wrist.rotation)
 
-    hand_points = [
-        Transform.from_matrix(pp + rw @ local_t, rw if local_r is None else rw @ local_r)
-        for local_t, local_r in cs.hand_point_offsets(q[9:])]
-    hand_positions = np.array([t.translation for t in hand_points])
+    local_t, local_r = cs.hand_point_offsets(q[9:])
+    hand_positions = pp + np.matmul(rw, local_t[:, :, None])[:, :, 0]
+    hand_rotations = None if local_r is None else np.matmul(rw, local_r)
 
     # distance points: the 9 joint origins, the palm, the hand points, then
     # the last pads midpoints of consecutive arm joint origins and the wrist
@@ -500,8 +517,8 @@ def forward_kinematics(spec: RobotSpec, q: np.ndarray,
             for a, b in zip(arm_pts[-pads - 1:-1], arm_pts[-pads:])]
     distance_points = np.array([*origins, pp.tolist(), *hand_positions.tolist(), *mids])
 
-    return KinematicFrames(wrist=wrist, palm=palm, hand_points=hand_points,
-                           hand_positions=hand_positions,
+    return KinematicFrames(wrist=wrist, palm=palm, hand_positions=hand_positions,
+                           hand_rotations=hand_rotations,
                            distance_points=distance_points,
                            joint_origins=distance_points[0:9])
 
@@ -543,13 +560,17 @@ _IK_FAIL_POS = 1e-3
 
 
 def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
-             target: Transform, fixed_base: bool = False, _chain=None) -> np.ndarray:
+             target: Transform, fixed_base: bool = False, _chain=None,
+             _return_chain: bool = False):
     """Damped-least-squares IK for the wrist pose.
 
     Returns a copy of q0 with the first 9 (base+arm) entries updated;
     effector joints are untouched. fixed_base freezes the 2 base columns.
     Raises IkNotConverged when the position residual stays above 1e-3 m.
-    _chain lets the caller hand over the wrist chain it already holds for q0.
+    _chain lets the caller hand over the wrist chain it already holds for
+    q0. The loop's last chain is always the one at the q it returns (on
+    convergence, on a stall and after the final re-measure): _return_chain
+    hands it back, as (q, chain), and IkNotConverged carries it as `chain`.
 
     The residual and Jacobian are built from the chain's floats. numpy does
     the 3x3 rotation product, j @ j.T, the solve and j.T @ (...): its
@@ -565,17 +586,16 @@ def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
 
     best_err = math.inf
     stalled = 0
+    chain = _chain
     for _ in range(_IK_MAX_ITERS):
-        if _chain is None:
-            rw, pw, origins, axes = _wrist_chain(spec, q, base_anchor)
-        else:
-            rw, pw, origins, axes = _chain
-            _chain = None
+        if chain is None:
+            chain = _wrist_chain(spec, q, base_anchor)
+        rw, pw, origins, axes = chain
         rot = matrix_to_rotvec(r_target @ np.array(rw).T)
         e = np.array((tx - pw[0], ty - pw[1], tz - pw[2], *rot.tolist()))
         pos_err = vector_norm(e[0:3])
         if pos_err < _IK_POS_TOL and vector_norm(e[3:6]) < _IK_ROT_TOL:
-            return q
+            return (q, chain) if _return_chain else q
         # residual stall (joint limits / unreachable target): bail out early
         # rather than limit-cycling through the full iteration budget
         if pos_err > best_err - 1e-7:
@@ -589,13 +609,15 @@ def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
         dq = j.T @ np.linalg.solve(j @ j.T + _DLS_DAMPING, e)
         q[cols] += dq
         q_body.clip(cs.limits_lo, cs.limits_hi, out=q_body)
+        chain = None
     else:
         # Re-measure after the final update.
-        _, pw, _, _ = _wrist_chain(spec, q, base_anchor)
+        chain = _wrist_chain(spec, q, base_anchor)
+        pw = chain[1]
         pos_err = vector_norm(np.array((tx - pw[0], ty - pw[1], tz - pw[2])))
     if pos_err > _IK_FAIL_POS:
-        raise IkNotConverged(q, pos_err)
-    return q
+        raise IkNotConverged(q, pos_err, chain)
+    return (q, chain) if _return_chain else q
 
 
 # ---------------------------------------------------------------------------
@@ -626,11 +648,16 @@ def apply_action_with_chain(spec: RobotSpec, state: RobotState, action: np.ndarr
 
     ik_warning = False
     try:
-        q_target = ik_solve(spec, state.q, state.base_anchor, target,
-                            fixed_base=fixed_base, _chain=state.chain)
+        q_target, chain = ik_solve(spec, state.q, state.base_anchor, target,
+                                   fixed_base=fixed_base, _chain=state.chain,
+                                   _return_chain=True)
     except IkNotConverged as exc:
-        q_target = exc.best_q
+        q_target, chain = exc.best_q, exc.chain
         ik_warning = True
+    # the chain at IK's q serves the new state while the rate limit and the
+    # joint clip leave the 9 base/arm entries, all the chain reads, as IK
+    # set them (bit for bit)
+    ik_body = q_target[0:9].tobytes()
     # q_target is ik_solve's own copy: it becomes the step, in place
     q_target[9:] = eff_target
     if fixed_base:
@@ -642,7 +669,8 @@ def apply_action_with_chain(spec: RobotSpec, state: RobotState, action: np.ndarr
 
     qdot_new = (q_new - state.q) / DT
     qddot_new = (qdot_new - state.qdot) / DT
-    chain = _wrist_chain(spec, q_new, state.base_anchor)
+    if q_new[0:9].tobytes() != ik_body:
+        chain = _wrist_chain(spec, q_new, state.base_anchor)
     new_state = RobotState(
         q=q_new,
         qdot=qdot_new,

@@ -18,11 +18,13 @@ from .geometry import (
     Transform,
     apply,
     compose,
+    cross,
     invert,
     rotvec_to_matrix,
     transform,
     unit,
     vec3,
+    vector_norm,
 )
 
 REVOLUTE = "revolute"
@@ -118,6 +120,21 @@ def _frame0(obj: ObjectModel) -> Transform:
     if cached is None:
         cached = compose(obj.base_pose, obj.joint_anchor)
         object.__setattr__(obj, "_frame0_cache", cached)  # frozen dataclass
+    return cached
+
+
+def _follow_constants(obj: ObjectModel):
+    """An articulated model's per-object terms of `object_follow`, cached on
+    the model: frame0, its inverse rotation (the transposed view), the grasp
+    offset's part perpendicular to the joint axis, and whether that part is
+    degenerate (the grasp point on the hinge axis)."""
+    cached = getattr(obj, "_follow_cache", None)
+    if cached is None:
+        frame0 = _frame0(obj)
+        r_perp = obj.grasp_offset - np.dot(obj.grasp_offset, obj.joint_axis) * obj.joint_axis
+        cached = (frame0, frame0.rotation_matrix.T, r_perp,
+                  np.linalg.norm(r_perp) < _PROJECTION_EPS)
+        object.__setattr__(obj, "_follow_cache", cached)  # frozen dataclass
     return cached
 
 
@@ -218,8 +235,8 @@ def object_follow(obj: ObjectModel, state: ObjectState, palm: Transform) -> Obje
         out.free_pose = compose(palm, state.attach_offset)
         return out
 
-    frame0 = _frame0(obj)
-    p_local = frame0.rotation_matrix.T @ (palm.translation - frame0.translation)
+    frame0, frame0_inv, r_perp, r_perp_degenerate = _follow_constants(obj)
+    p_local = frame0_inv @ (palm.translation - frame0.translation)
     axis = obj.joint_axis
     lo, hi = obj.joint_range
 
@@ -228,11 +245,10 @@ def object_follow(obj: ObjectModel, state: ObjectState, palm: Transform) -> Obje
         out.joint_value = float(np.clip(t, lo, hi))
         return out
 
-    r_perp = obj.grasp_offset - np.dot(obj.grasp_offset, axis) * axis
     p_perp = p_local - np.dot(p_local, axis) * axis
-    if np.linalg.norm(r_perp) < _PROJECTION_EPS or np.linalg.norm(p_perp) < _PROJECTION_EPS:
+    if r_perp_degenerate or vector_norm(p_perp) < _PROJECTION_EPS:
         return out
-    theta = float(np.arctan2(np.dot(axis, np.cross(r_perp, p_perp)),
+    theta = float(np.arctan2(np.dot(axis, cross(r_perp, p_perp)),
                              np.dot(r_perp, p_perp)))
     if lo <= theta <= hi:
         out.joint_value = theta

@@ -25,6 +25,7 @@ from manibench.reward import (
     RewardSnapshot,
     RewardWeights,
     mean_hand_distance,
+    reference_approach_action,
     total_reward,
 )
 from manibench.rl import evaluate
@@ -314,9 +315,9 @@ def test_stored_chain_and_rotations_match_fresh_computation(robot):
         np.testing.assert_array_equal(state.wrist_pose.rotation_matrix, state.chain[0])
         assert env.frames.wrist is state.wrist_pose
         assert env.frames.palm.rotation_matrix is state.wrist_pose.rotation_matrix
-        frames = [state.wrist_pose, env.frames.wrist, env.frames.palm,
-                  *env.frames.hand_points]
-        for frame in frames:
+        # the palm turns with the wrist: one rotation vector serves both
+        assert env.frames.palm.rotation is state.wrist_pose.rotation
+        for frame in (state.wrist_pose, env.frames.palm):
             np.testing.assert_array_equal(
                 frame.rotation, geo.matrix_to_rotvec(frame.rotation_matrix))
     assert env.success and steps > 10
@@ -343,7 +344,8 @@ _CELLS = [(robot, name, skill) for robot in ("gripper-bot", "hand-bot")
 def test_step_facts_agree_in_every_cell(robot, name, skill):
     """What a step computes once and reuses equals a fresh computation from
     the post-step state, byte for byte (-0.0 included): the reward terms,
-    the goal distance and the movable part's rotation."""
+    the goal distance, the movable part's rotation, and the scripted action
+    built from the env's reference approach action."""
     env = Env(EpisodeConfig(seed=0), w.make_task(name, skill), make_robot(robot))
     obs = env.reset(0)
     start = env.layout.slices()["object_state"].start
@@ -351,8 +353,20 @@ def test_step_facts_agree_in_every_cell(robot, name, skill):
     np.testing.assert_array_equal(obs[grasp_slot], env.grasp)
     controller = ScriptedController()
     weights = RewardWeights()
+    phases = set()
     while not env.done:
         action = controller.action_for(env)
+        palm = env.frames.palm
+        expected = reference_approach_action(palm.translation, palm.rotation,
+                                             env.palm_rotation_init, env.grasp,
+                                             env.effector_init)
+        np.testing.assert_array_equal(
+            expected[3:6], geo.rotvec_difference(env.palm_rotation_init, palm.rotation))
+        if env.object_state.attached:    # move phase: the wrist follows goal - grasp
+            expected[0:3] = env.task.goal_point - env.grasp
+        assert action.tobytes() == expected.tobytes()
+        assert action is not env.reference_action()
+        phases.add(env.object_state.attached)
         obs, _, _, info = env.step(action, weights)
         assert info["f_g"] == info["terms"].f_g
         np.testing.assert_array_equal(obs[grasp_slot], info["grasp_point"])
@@ -370,7 +384,7 @@ def test_step_facts_agree_in_every_cell(robot, name, skill):
         assert info["goal_distance"] == geo.point_distance(env.task.goal_point, env.grasp)
         movable = w.movable_frame(env.task.object, env.object_state).rotation
         assert obs[rotation_slot].tobytes() == movable.tobytes()
-    assert env.success
+    assert env.success and phases == {False, True}
 
 
 def test_detach_keeps_grasp_point():

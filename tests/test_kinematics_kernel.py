@@ -245,17 +245,148 @@ def test_ik_solve_matches_reference_loop(spec):
     assert min(outcomes.values()) >= 50, outcomes
 
 
+def assert_chain_bits_equal(actual, expected):
+    for part, want in zip(actual, expected):
+        assert_bits_equal(part, np.asarray(want, dtype=np.float64))
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
 def test_ik_solve_reuses_handed_chain(spec):
+    """A chain handed in is used for q0, and the chain handed back (returned,
+    or carried by IkNotConverged) is the one at the returned q."""
     rng = np.random.default_rng(72)
+    outcomes = set()
     for q0, anchor, target, fixed_base in _ik_cases(spec, rng, 20):
         chain = rb._wrist_chain(spec, q0, anchor)
         try:
-            with_chain = rb.ik_solve(spec, q0, anchor, target, fixed_base, _chain=chain)
+            with_chain, last = rb.ik_solve(spec, q0, anchor, target, fixed_base,
+                                           _chain=chain, _return_chain=True)
         except rb.IkNotConverged as exc:
-            with_chain = exc.best_q
-        expected, _ = reference_ik_solve(spec, q0, anchor, target, fixed_base)
+            with_chain, last = exc.best_q, exc.chain
+        expected, residual = reference_ik_solve(spec, q0, anchor, target, fixed_base)
         assert_bits_equal(with_chain, expected)
+        assert_chain_bits_equal(last, rb._wrist_chain(spec, with_chain, anchor))
+        outcomes.add(residual is None)
+    assert outcomes == {True, False}
+
+
+def _step_cases(spec, rng, n):
+    """(state, action, fixed_base): steps from the reset posture, from arms
+    at their limits and from random arms, with small and large actions."""
+    lo, hi = spec.joint_limits[2:9, 0], spec.joint_limits[2:9, 1]
+    for i in range(n):
+        arm = (spec.home_arm_q, np.where(rng.random(7) < 0.5, lo, hi),
+               rng.uniform(lo, hi))[i % 3]
+        anchor = random_anchor(rng, 1)
+        state = rb.make_initial_state(spec, anchor, arm_q=arm)
+        scale = 0.001 if rng.random() < 0.5 else 1.0
+        action = np.concatenate([rng.normal(size=6) * scale,
+                                 rng.uniform(-1.0, 1.0, spec.dof_effector)])
+        yield state, action, bool(rng.random() < 0.4)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+def test_apply_action_hands_over_the_chain_at_the_new_q(spec, monkeypatch):
+    """The new state's chain equals a fresh chain at its q, bit for bit, on
+    converged, rate-limited, fixed-base and IK-warning steps. IK's last chain
+    serves it exactly when the step leaves the 9 base/arm entries as IK set
+    them; otherwise the step runs the chain once more."""
+    calls = [0]
+    chain_fn, ik_fn = rb._wrist_chain, rb.ik_solve
+    at_ik_exit = {}
+
+    def counting_chain(*args):
+        calls[0] += 1
+        return chain_fn(*args)
+
+    def recording_ik(*args, **kwargs):
+        try:
+            q, chain = ik_fn(*args, **kwargs)
+        except rb.IkNotConverged as exc:
+            q = exc.best_q
+            raise
+        finally:
+            at_ik_exit.update(calls=calls[0], q_body=q[0:9].tobytes())
+        return q, chain
+
+    monkeypatch.setattr(rb, "_wrist_chain", counting_chain)
+    monkeypatch.setattr(rb, "ik_solve", recording_ik)
+    cap = rb._compiled(spec).step_cap[0:9]
+    seen = {"converged": 0, "rate_limited": 0, "fixed_base": 0, "ik_warning": 0,
+            "handed_over": 0, "recomputed": 0}
+    for state, action, fixed_base in _step_cases(spec, np.random.default_rng(73), 90):
+        new_state, chain = rb.apply_action_with_chain(spec, state, action, fixed_base)
+        recomputed = calls[0] - at_ik_exit["calls"]
+        fresh = chain_fn(spec, new_state.q, state.base_anchor)
+        assert chain is new_state.chain
+        assert_chain_bits_equal(new_state.chain, fresh)
+        assert recomputed == (new_state.q[0:9].tobytes() != at_ik_exit["q_body"])
+        rate_limited = bool(np.any(np.abs(new_state.q[0:9] - state.q[0:9]) >= cap))
+        seen["rate_limited"] += rate_limited
+        seen["fixed_base"] += fixed_base
+        seen["ik_warning"] += new_state.ik_warning
+        seen["converged"] += not (rate_limited or fixed_base or new_state.ik_warning)
+        seen["recomputed" if recomputed else "handed_over"] += 1
+    assert min(seen.values()) >= 1, seen
+
+
+@pytest.mark.parametrize("kind", range(4))
+def test_stacked_fingertips_match_per_finger_products(kind):
+    """Hand-bot fingertip frames and their observation entries (rotation
+    vectors and angular velocities) equal the per-finger products: each
+    finger's Rodrigues matrix, `rot @ tip_offset`, `rw @ t`, `rw @ rot`
+    and `R_t @ R_{t-1}.T`, bit for bit."""
+    from manibench import observation as obs_mod
+
+    spec = rb.hand_bot()
+    fingers = spec.effector.fingers
+    lo, hi = spec.joint_limits[9:, 0], spec.joint_limits[9:, 1]
+    rng = np.random.default_rng(74 + kind)
+    special = np.array([0.0, -0.0, lo[0], hi[0], -0.3, 1e-12, -1e-12])
+
+    def random_effector():
+        q = rng.uniform(lo - 0.5, hi)       # negative curls included
+        pick = rng.random(q.shape) < 0.5
+        q[pick] = rng.choice(special, size=int(pick.sum()))
+        return q
+
+    def reference(q, anchor):
+        frames = rb.forward_kinematics(spec, q, anchor)
+        rw, pp = frames.wrist.rotation_matrix, frames.palm.translation
+        positions, rotations = [], []
+        for f in fingers:
+            rot = geo.rotvec_to_matrix(f.axis * float(q[9 + f.joint_index]))
+            positions.append(pp + rw @ (f.knuckle + rot @ f.tip_offset))
+            rotations.append(rw @ rot)
+        return frames, positions, rotations
+
+    n = len(fingers)
+    for _ in range(25):
+        anchor = random_anchor(rng, kind % 3)
+        q_prev = random_q(spec, rng, kind)
+        q_prev[9:] = random_effector()
+        q_now = q_prev.copy()
+        q_now[2:9] += rng.normal(size=7) * 0.05
+        q_now[9:] = random_effector()
+        prev, _, rot_prev = reference(q_prev, anchor)
+        now, pos_now, rot_now = reference(q_now, anchor)
+        for i in range(n):
+            assert_bits_equal(now.hand_positions[i], pos_now[i])
+            assert_bits_equal(now.hand_rotations[i], rot_now[i])
+            assert_bits_equal(prev.hand_rotations[i], rot_prev[i])
+        layout = obs_mod.ObservationLayout.for_robot(spec)
+        obs = obs_mod.assemble(
+            layout, t=1, max_steps=10, grasp=np.zeros(3), movable_rotation=np.zeros(3),
+            goal=np.zeros(3), frames=now, prev_frames=prev, q=q_now,
+            qdot=np.zeros(spec.n_joints), qddot=np.zeros(spec.n_joints),
+            prev_action=np.zeros(spec.action_dim))
+        prop = layout.block(obs, "proprioception")
+        tip_rot = prop[12 + 3 * n:12 + 6 * n].reshape(n, 3)
+        tip_w = prop[12 + 9 * n:12 + 12 * n].reshape(n, 3)
+        for i in range(n):
+            assert_bits_equal(tip_rot[i], geo.matrix_to_rotvec(rot_now[i]))
+            assert_bits_equal(tip_w[i],
+                              geo.matrix_to_rotvec(rot_now[i] @ rot_prev[i].T) / rb.DT)
 
 
 def _spec_with(**changes):

@@ -212,11 +212,12 @@ def test_assemble_rejects_a_layout_of_another_width():
         assemble(ObservationLayout.for_robot(hand_bot()), **pieces)
 
 
-@pytest.mark.parametrize("robot,rotvec_calls", [(gripper_bot, 1), (hand_bot, 6)])
+@pytest.mark.parametrize("robot,rotvec_calls", [(gripper_bot, 1), (hand_bot, 11)])
 def test_fingertips_turning_with_the_palm_reuse_its_rotation(robot, rotvec_calls, monkeypatch):
-    """A gripper fingertip holds the palm's rotation matrix: its rotation and
+    """A gripper fingertip has no rotation of its own: its rotation and
     angular velocity entries are the palm's, and only the palm's angular
-    velocity (plus one per hand-bot fingertip) calls matrix_to_rotvec."""
+    velocity (plus two per hand-bot fingertip, its rotation and its angular
+    velocity) calls matrix_to_rotvec."""
     import manibench.observation as obs_mod
     env = make_env(robot(), seed=2)
     env.reset(0)
@@ -231,10 +232,14 @@ def test_fingertips_turning_with_the_palm_reuse_its_rotation(robot, rotvec_calls
     prop = env.layout.block(obs, "proprioception")
     tip_rot = prop[12 + 3 * n:12 + 6 * n].reshape(n, 3)
     tip_w = prop[12 + 9 * n:12 + 12 * n].reshape(n, 3)
-    for i, point in enumerate(env.frames.hand_points):
-        np.testing.assert_array_equal(tip_rot[i], geo.matrix_to_rotvec(point.rotation_matrix))
-        expected_w = geo.matrix_to_rotvec(
-            point.rotation_matrix @ env.prev_frames.hand_points[i].rotation_matrix.T) / DT
+    now, prev = env.frames.hand_rotations, env.prev_frames.hand_rotations
+    if robot is gripper_bot:
+        assert now is None and prev is None
+        now = [env.frames.palm.rotation_matrix] * n
+        prev = [env.prev_frames.palm.rotation_matrix] * n
+    for i in range(n):
+        np.testing.assert_array_equal(tip_rot[i], geo.matrix_to_rotvec(now[i]))
+        expected_w = geo.matrix_to_rotvec(now[i] @ prev[i].T) / DT
         np.testing.assert_array_equal(tip_w[i], expected_w)
     if robot is gripper_bot:
         np.testing.assert_array_equal(tip_rot, np.tile(prop[3:6], (n, 1)))

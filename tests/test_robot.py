@@ -82,7 +82,11 @@ def test_fk_dimension_mismatch(spec):
 
 def test_fk_counts(spec):
     frames = rb.forward_kinematics(spec, np.zeros(spec.n_joints), geo.Transform.identity())
-    assert len(frames.hand_points) == spec.n_hand_points
+    assert frames.hand_positions.shape == (spec.n_hand_points, 3)
+    if isinstance(spec.effector, rb.HandSpec):
+        assert frames.hand_rotations.shape == (spec.n_hand_points, 3, 3)
+    else:
+        assert frames.hand_rotations is None    # gripper tips turn with the palm
     assert frames.distance_points.shape == (spec.n_distance_points, 3)
     assert frames.joint_origins.shape == (9, 3)
 
@@ -93,10 +97,10 @@ def test_gripper_hand_points_track_opening():
     frames_closed = rb.forward_kinematics(spec, q, geo.Transform.identity())
     q[9] = 0.04
     frames_open = rb.forward_kinematics(spec, q, geo.Transform.identity())
-    gap_closed = geo.point_distance(frames_closed.hand_points[0].translation,
-                                    frames_closed.hand_points[1].translation)
-    gap_open = geo.point_distance(frames_open.hand_points[0].translation,
-                                  frames_open.hand_points[1].translation)
+    gap_closed = geo.point_distance(frames_closed.hand_positions[0],
+                                    frames_closed.hand_positions[1])
+    gap_open = geo.point_distance(frames_open.hand_positions[0],
+                                  frames_open.hand_positions[1])
     assert gap_closed == pytest.approx(0.024, abs=1e-12)
     assert gap_open == pytest.approx(0.104, abs=1e-12)
 
