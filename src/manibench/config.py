@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 from .env import EpisodeConfig
 from .rl import PPOConfig
 from .robot import ROBOTS
-from .world import OBJECT_SKILLS, OBJECTS
+from .world import OBJECTS, validate_skill
 
 
 class ConfigError(ValueError):
@@ -45,10 +45,10 @@ class RunConfig:
             raise ConfigError(f"unknown robot {self.robot!r}; expected one of {sorted(ROBOTS)}")
         if self.task not in OBJECTS:
             raise ConfigError(f"unknown task {self.task!r}; expected one of {sorted(OBJECTS)}")
-        if self.skill not in OBJECT_SKILLS[self.task]:
-            raise ConfigError(
-                f"skill {self.skill!r} not valid for {self.task!r}; "
-                f"expected one of {OBJECT_SKILLS[self.task]}")
+        try:
+            validate_skill(self.task, self.skill)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         return self
 
 

@@ -21,8 +21,6 @@ class ScriptedController:
     through the deterministic_action(obs, env) protocol, which is the `act`
     that `env.run_episode`, the one episode loop, calls."""
 
-    name = "scripted"
-
     def deterministic_action(self, obs, env) -> np.ndarray:
         return self.action_for(env)
 

@@ -36,7 +36,7 @@ from .env import (CLOSE_INIT_RANGE, OBJECT_HEIGHT_RANGE, OPEN_INIT_ANGLE, YAW_RA
 from .observation import ObservationLayout, check_policy_obs_dim
 from .reward import GRASP_THRESHOLD, SUCCESS_THRESHOLD, RewardWeights
 from .robot import DT, FRAME_RATE, RobotSpec, make_robot
-from .world import OBJECT_SKILLS, TaskSpec, make_task
+from .world import TaskSpec, make_task, validate_skill
 
 MAGIC_LINE = "MMTRAJ 1"
 TRAJ_SUFFIX = ".mmt"
@@ -329,14 +329,9 @@ def read(path) -> Trajectory:
     except (KeyError, ValueError, TypeError) as exc:
         raise MalformedTrajectory(f"malformed trajectory {path}: {exc}") from exc
     # the header must name a robot and a task that exist, in that robot's shape
-    obj, skill = meta["object_name"], meta["skill"]
     try:
         _, robot_dims = _robot(meta["robot"])
-        if obj not in OBJECT_SKILLS:
-            raise ValueError(f"unknown object {obj!r}; expected one of {sorted(OBJECT_SKILLS)}")
-        if skill not in OBJECT_SKILLS[obj]:
-            raise ValueError(f"skill {skill!r} not valid for {obj!r}; "
-                             f"expected one of {OBJECT_SKILLS[obj]}")
+        validate_skill(meta["object_name"], meta["skill"])
     except ValueError as exc:
         raise MalformedTrajectory(f"malformed trajectory {path}: {exc}") from None
     if frames < 0:

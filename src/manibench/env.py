@@ -61,7 +61,6 @@ from .world import (
     initial_state,
     movable_frame,
     object_follow,
-    validate_skill,
 )
 
 # Philox stream ids within an episode
@@ -105,9 +104,12 @@ class EpisodeConfig:
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        # the base must stand off the object, on its -y side: a zero offset
+        # leaves reset no heading to face, a negative one puts it behind
         rng = self.base_offset_range
-        if rng is not None and not (len(rng) == 2 and rng[0] <= rng[1]):
-            raise ValueError(f"base_offset_range must be (low, high) with low <= high, got {rng}")
+        if rng is not None and not (len(rng) == 2 and 0.0 < rng[0] <= rng[1] < math.inf):
+            raise ValueError(f"base_offset_range must be (low, high), finite, with "
+                             f"0 < low <= high, got {rng}")
 
     @property
     def effective_offsets(self) -> tuple:
@@ -135,7 +137,6 @@ class Env:
     """Single episode owner; construct once per task, reset per episode."""
 
     def __init__(self, config: EpisodeConfig, task: TaskSpec, robot_spec: RobotSpec):
-        validate_skill(task.object, task.skill)
         self.config = config
         self.robot_spec = robot_spec
         self.layout = obs_mod.ObservationLayout.for_robot(robot_spec)

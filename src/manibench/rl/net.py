@@ -15,6 +15,7 @@ import numpy as np
 HIDDEN_WIDTHS = (1024, 1024, 512, 512)
 # elements per slice of an Adam step: bounds its scratch arrays at 256 KB each
 _ADAM_BLOCK = 1 << 15
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def orthogonal(rng: np.random.Generator, shape, gain: float = 1.0) -> np.ndarray:
@@ -118,11 +119,20 @@ class Mlp:
             raise ValueError(f"input width {h.shape[1]} != {self.widths[0]}")
         return h, squeeze
 
+    def _layers(self, h: np.ndarray, outputs) -> np.ndarray:
+        """Run every layer on the rows h, writing layer i's output into
+        outputs[i]; returns the last."""
+        for i, z in enumerate(outputs):
+            np.matmul(h, self.weights[i], out=z)
+            z += self.biases[i]
+            if i < self.n_layers - 1:
+                np.tanh(z, out=z)
+            h = z
+        return h
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         h, squeeze = self._rows(x)
-        for i in range(self.n_layers - 1):
-            h = np.tanh(h @ self.weights[i] + self.biases[i])
-        y = h @ self.weights[-1] + self.biases[-1]
+        y = self._layers(h, [np.empty((len(h), w)) for w in self.widths[1:]])
         return y[0] if squeeze else y
 
     def forward_cached(self, x: np.ndarray, *, workspace: Workspace | None = None):
@@ -139,13 +149,8 @@ class Mlp:
             workspace = Workspace((self,), len(h))
         outputs = workspace.layer_outputs(self, len(h))
         activations = [h] + outputs[:-1]
-        for i, z in enumerate(outputs):
-            np.matmul(h, self.weights[i], out=z)
-            z += self.biases[i]
-            if i < self.n_layers - 1:
-                np.tanh(z, out=z)
-            h = z
-        return (h[0] if squeeze else h), activations
+        y = self._layers(h, outputs)
+        return (y[0] if squeeze else y), activations
 
     def backward(self, activations, dy: np.ndarray, *, workspace: Workspace | None = None):
         """Gradients of sum(loss) given d loss / d output; returns
@@ -185,13 +190,11 @@ class Mlp:
 class Adam:
     """Adaptive moment estimation over a flat list of parameter arrays."""
 
-    def __init__(self, params, lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.params = list(params)
         if not all(p.flags.c_contiguous for p in self.params):
             raise ValueError("Adam steps C-contiguous parameter arrays in place")
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
         self.t = 0
@@ -208,24 +211,24 @@ class Adam:
         if len(grads) != len(self.params):
             raise ValueError("gradient list length mismatch")
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - _ADAM_BETA1 ** self.t
+        b2t = 1.0 - _ADAM_BETA2 ** self.t
         for arrays in zip(self.params, grads, self.m, self.v):
             p, g, m, v = (a.reshape(-1) for a in arrays)
             for start in range(0, p.size, _ADAM_BLOCK):
                 block = slice(start, start + _ADAM_BLOCK)
                 pb, gb, mb, vb = p[block], g[block], m[block], v[block]
                 s, u = (a[:pb.size] for a in self._scratch)
-                mb *= self.beta1
-                mb += np.multiply(gb, 1.0 - self.beta1, out=s)
-                vb *= self.beta2
+                mb *= _ADAM_BETA1
+                mb += np.multiply(gb, 1.0 - _ADAM_BETA1, out=s)
+                vb *= _ADAM_BETA2
                 np.multiply(gb, gb, out=s)
-                vb += np.multiply(s, 1.0 - self.beta2, out=s)
+                vb += np.multiply(s, 1.0 - _ADAM_BETA2, out=s)
                 np.divide(mb, b1t, out=s)
                 np.multiply(s, self.lr, out=s)
                 np.divide(vb, b2t, out=u)
                 np.sqrt(u, out=u)
-                u += self.eps
+                u += _ADAM_EPS
                 pb -= np.divide(s, u, out=s)
 
 

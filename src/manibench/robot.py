@@ -60,14 +60,10 @@ class GripperSpec:
     max_velocity: float = 0.1
     tip_lateral_base: float = 0.012   # half-gap between closed fingertips
     knuckle_back: float = 0.08        # finger-root point behind the grasp centre
-
-    @property
-    def dof(self) -> int:
-        return 1
-
-    @property
-    def n_hand_points(self) -> int:
-        return 3
+    # class constants, not fields
+    dof = 1
+    n_hand_points = 3
+    n_distance_points = 15
 
     @property
     def open_pose(self) -> np.ndarray:
@@ -98,10 +94,9 @@ class HandSpec:
     fingers: tuple
     joint_limits: tuple
     max_velocity: float = 4.0
-
-    @property
-    def dof(self) -> int:
-        return 12
+    # class constants, not fields
+    dof = 12
+    n_distance_points = 22
 
     @property
     def n_hand_points(self) -> int:
@@ -212,7 +207,7 @@ class RobotSpec:
     @property
     def n_distance_points(self) -> int:
         # 9 joint origins + palm + N hand points + link-midpoint padding
-        return 15 if isinstance(self.effector, GripperSpec) else 22
+        return self.effector.n_distance_points
 
     @property
     def n_midpoint_pads(self) -> int:
@@ -222,74 +217,52 @@ class RobotSpec:
         return self.joint_limits[9:]
 
     def clamp_q(self, q: np.ndarray) -> np.ndarray:
-        cs = _compiled(self)
+        cs = self._compiled
         return np.asarray(q, dtype=np.float64).clip(cs.q_lo, cs.q_hi)
+
+    @cached_property
+    def _compiled(self) -> "_CompiledSpec":
+        return _CompiledSpec(self)
+
+
+def _mobile_manipulator(name: str, mid_link: float, palm_y: float,
+                        effector: GripperSpec | HandSpec) -> RobotSpec:
+    """The shared 2-DOF base and 7-DOF arm carrying `effector`, which supplies
+    the tails of the joint limits and rates. The robots differ only there, in
+    the three mid-arm links' length `mid_link` and the palm offset `palm_y` (m)."""
+    arm_offsets = (transform(0.0, 0.0, 0.10), transform(0.0, 0.0, 0.05),
+                   *(transform(0.0, mid_link, 0.0) for _ in range(3)),
+                   transform(0.0, 0.12, 0.0), transform(0.0, 0.06, 0.0))
+    arm_axes = np.array([
+        [0, 0, 1], [1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1, 0],
+    ], dtype=np.float64)
+    limits = np.array([[-np.pi, np.pi], [-3.0, 3.0]] + [[-2.9, 2.9]] * 7
+                      + list(effector.joint_limits))
+    vmax = np.array([1.0, 1.0] + [2.0] * 7 + [effector.max_velocity] * effector.dof)
+    return RobotSpec(
+        name=name,
+        base_mount=transform(0.0, 0.10, 0.50),
+        arm_offsets=arm_offsets,
+        arm_axes=arm_axes,
+        wrist_offset=transform(0.0, 0.05, 0.0),
+        palm_offset=transform(0.0, palm_y, 0.0),
+        effector=effector,
+        joint_limits=limits,
+        max_velocity=vmax,
+        home_arm_q=np.array([0.0, 0.45, 0.0, -0.9, 0.0, 0.45, 0.0]),
+    )
 
 
 def gripper_bot() -> RobotSpec:
     """Parallel-gripper robot: D=1, 3 hand points, 15 distance points."""
-    arm_offsets = (
-        transform(0.0, 0.0, 0.10),
-        transform(0.0, 0.0, 0.05),
-        transform(0.0, 0.15, 0.0),
-        transform(0.0, 0.15, 0.0),
-        transform(0.0, 0.15, 0.0),
-        transform(0.0, 0.12, 0.0),
-        transform(0.0, 0.06, 0.0),
-    )
-    arm_axes = np.array([
-        [0, 0, 1], [1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1, 0],
-    ], dtype=np.float64)
-    limits = np.array(
-        [[-np.pi, np.pi], [-3.0, 3.0]] + [[-2.9, 2.9]] * 7 + [[0.0, 0.04]])
-    vmax = np.array([1.0, 1.0] + [2.0] * 7 + [0.1])
-    return RobotSpec(
-        name="gripper-bot",
-        base_mount=transform(0.0, 0.10, 0.50),
-        arm_offsets=arm_offsets,
-        arm_axes=arm_axes,
-        wrist_offset=transform(0.0, 0.05, 0.0),
-        palm_offset=transform(0.0, 0.10, 0.0),
-        effector=GripperSpec(),
-        joint_limits=limits,
-        max_velocity=vmax,
-        home_arm_q=np.array([0.0, 0.45, 0.0, -0.9, 0.0, 0.45, 0.0]),
-    )
+    return _mobile_manipulator("gripper-bot", 0.15, 0.10, GripperSpec())
 
 
 def hand_bot() -> RobotSpec:
     """Dexterous-hand robot: D=12, 5 hand points, 22 distance points."""
-    arm_offsets = (
-        transform(0.0, 0.0, 0.10),
-        transform(0.0, 0.0, 0.05),
-        transform(0.0, 0.16, 0.0),
-        transform(0.0, 0.16, 0.0),
-        transform(0.0, 0.16, 0.0),
-        transform(0.0, 0.12, 0.0),
-        transform(0.0, 0.06, 0.0),
-    )
-    arm_axes = np.array([
-        [0, 0, 1], [1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1, 0],
-    ], dtype=np.float64)
-    hand = HandSpec(
-        fingers=_default_hand_fingers(),
-        joint_limits=tuple([(0.0, 1.6)] * 5 + [(-0.5, 0.5)] * 7),
-    )
-    limits = np.array(
-        [[-np.pi, np.pi], [-3.0, 3.0]] + [[-2.9, 2.9]] * 7 + list(hand.joint_limits))
-    vmax = np.array([1.0, 1.0] + [2.0] * 7 + [4.0] * 12)
-    return RobotSpec(
-        name="hand-bot",
-        base_mount=transform(0.0, 0.10, 0.50),
-        arm_offsets=arm_offsets,
-        arm_axes=arm_axes,
-        wrist_offset=transform(0.0, 0.05, 0.0),
-        palm_offset=transform(0.0, 0.11, 0.0),
-        effector=hand,
-        joint_limits=limits,
-        max_velocity=vmax,
-        home_arm_q=np.array([0.0, 0.45, 0.0, -0.9, 0.0, 0.45, 0.0]),
-    )
+    hand = HandSpec(fingers=_default_hand_fingers(),
+                    joint_limits=tuple([(0.0, 1.6)] * 5 + [(-0.5, 0.5)] * 7))
+    return _mobile_manipulator("hand-bot", 0.16, 0.11, hand)
 
 
 ROBOTS = {"gripper-bot": gripper_bot, "hand-bot": hand_bot}
@@ -323,11 +296,10 @@ class RobotState:
 
 
 def make_initial_state(spec: RobotSpec, base_anchor: Transform,
-                       arm_q: np.ndarray | None = None,
-                       effector_q: np.ndarray | None = None) -> RobotState:
+                       arm_q: np.ndarray | None = None) -> RobotState:
     q = np.zeros(spec.n_joints)
     q[2:9] = spec.home_arm_q if arm_q is None else arm_q
-    q[9:] = spec.effector.open_pose if effector_q is None else effector_q
+    q[9:] = spec.effector.open_pose
     q = spec.clamp_q(q)
     chain = _wrist_chain(spec, q, base_anchor)
     return RobotState(
@@ -358,7 +330,8 @@ class KinematicFrames:
 
 class _CompiledSpec:
     """Per-spec constants hoisted out of the kinematics inner loops, and the
-    memo of the last hand-point offsets."""
+    memo of the last hand-point offsets; the spec builds one on first use
+    and keeps it as `RobotSpec._compiled`."""
 
     def __init__(self, spec: RobotSpec):
         self.mount_t = tuple(spec.base_mount.translation.tolist())
@@ -396,14 +369,6 @@ class _CompiledSpec:
         return offsets
 
 
-def _compiled(spec: RobotSpec) -> _CompiledSpec:
-    cached = getattr(spec, "_compiled_cache", None)
-    if cached is None:
-        cached = _CompiledSpec(spec)
-        object.__setattr__(spec, "_compiled_cache", cached)  # frozen dataclass
-    return cached
-
-
 def _wrist_chain(spec: RobotSpec, q: np.ndarray, anchor: Transform):
     """Shared FK core, on Python floats: at 3x3 scale the interpreter beats
     numpy's per-call overhead, and the chain runs several times per step.
@@ -422,7 +387,7 @@ def _wrist_chain(spec: RobotSpec, q: np.ndarray, anchor: Transform):
     entry that comes out exactly zero, so every output is bit-identical to
     the generic 3x3 product.
     """
-    cs = _compiled(spec)
+    cs = spec._compiled
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = anchor.rotation_matrix.tolist()
     px, py, pz = anchor.translation.tolist()
     q0, q1, *arm_q = q.tolist()
@@ -499,7 +464,7 @@ def forward_kinematics(spec: RobotSpec, q: np.ndarray,
         chain, wrist = _state.chain, _state.wrist_pose
     _, pw_floats, origins, _ = chain
     rw, pw = wrist.rotation_matrix, wrist.translation
-    cs = _compiled(spec)
+    cs = spec._compiled
     # the palm offset is a pure translation: the palm has the wrist's
     # rotation, matrix and rotation vector alike
     pp = pw + rw @ cs.palm_t
@@ -577,7 +542,7 @@ def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
     rounding there differs from Python float arithmetic, and q's last bits
     are part of the replay contract.
     """
-    cs = _compiled(spec)
+    cs = spec._compiled
     q = np.array(q0, dtype=np.float64)
     q_body = q[0:9]
     r_target = target.rotation_matrix
@@ -637,7 +602,7 @@ def apply_action_with_chain(spec: RobotSpec, state: RobotState, action: np.ndarr
                             fixed_base: bool = False):
     """apply_action core; returns (new state, its wrist chain), the chain
     being the floats the state holds as `chain`."""
-    cs = _compiled(spec)
+    cs = spec._compiled
     d_pos = clamp_norm(action[0:3], spec.pos_step_limit)
     d_rot = clamp_norm(action[3:6], spec.rot_step_limit)
     eff_target = action[6:].clip(cs.eff_lo, cs.eff_hi)

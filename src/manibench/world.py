@@ -11,6 +11,7 @@ handle points toward negative y, where the robot is placed at reset.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -31,15 +32,13 @@ REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
 FREE = "free"
 
-SKILLS = ("open", "close", "pull", "push", "pick")
-
 _PROJECTION_EPS = 1e-12
 
 
 @dataclass(frozen=True)
 class ObjectModel:
     kind: str
-    category_label: str
+    category_label: str                 # family id: the OBJECT_SKILLS key
     grasp_offset: np.ndarray            # movable-part-local grasp point
     base_pose: Transform                # world placement (set at reset)
     joint_anchor: Transform | None = None
@@ -64,6 +63,22 @@ class ObjectModel:
     def placed_at(self, base_pose: Transform) -> "ObjectModel":
         return replace(self, base_pose=base_pose)
 
+    @cached_property
+    def _frame0(self) -> Transform:
+        """base_pose o joint_anchor."""
+        return compose(self.base_pose, self.joint_anchor)
+
+    @cached_property
+    def _follow_constants(self):
+        """An articulated model's per-object terms of `object_follow`:
+        frame0, its inverse rotation (the transposed view), the grasp
+        offset's part perpendicular to the joint axis, and whether that part
+        is degenerate (the grasp point on the hinge axis)."""
+        frame0 = self._frame0
+        r_perp = self.grasp_offset - np.dot(self.grasp_offset, self.joint_axis) * self.joint_axis
+        return (frame0, frame0.rotation_matrix.T, r_perp,
+                np.linalg.norm(r_perp) < _PROJECTION_EPS)
+
 
 @dataclass
 class ObjectState:
@@ -83,25 +98,22 @@ class TaskSpec:
     goal_point: np.ndarray | None = None   # frozen at reset
 
     def __post_init__(self):
-        validate_skill(self.object, self.skill)
+        validate_skill(self.object.category_label, self.skill)
 
     @property
     def instruction(self) -> str:
         return f"{self.skill} {self.object.category_label}"
 
 
-def validate_skill(obj: ObjectModel, skill: str) -> None:
-    if skill not in SKILLS:
-        raise ValueError(f"unknown skill {skill!r}; expected one of {SKILLS}")
-    if skill == "pick":
-        if obj.kind != FREE or obj.category_label == "cart":
-            raise ValueError("pick applies to free holistic objects only")
-    elif skill in ("pull", "push"):
-        if obj.category_label != "cart":
-            raise ValueError(f"{skill} applies to carts only")
-    else:  # open / close
-        if not obj.articulated:
-            raise ValueError(f"{skill} applies to articulated objects only")
+def validate_skill(object_name: str, skill: str) -> None:
+    """ValueError unless `OBJECT_SKILLS`, the skill taxonomy, lists `skill`
+    for the object family `object_name`."""
+    if object_name not in OBJECT_SKILLS:
+        raise ValueError(f"unknown object {object_name!r}; "
+                         f"expected one of {sorted(OBJECT_SKILLS)}")
+    if skill not in OBJECT_SKILLS[object_name]:
+        raise ValueError(f"skill {skill!r} not valid for {object_name!r}; "
+                         f"expected one of {OBJECT_SKILLS[object_name]}")
 
 
 # ---------------------------------------------------------------------------
@@ -114,37 +126,13 @@ def _joint_motion(obj: ObjectModel, q: float) -> Transform:
     return Transform.from_matrix(obj.joint_axis * q, np.eye(3))
 
 
-def _frame0(obj: ObjectModel) -> Transform:
-    """base_pose o joint_anchor, cached on the model."""
-    cached = getattr(obj, "_frame0_cache", None)
-    if cached is None:
-        cached = compose(obj.base_pose, obj.joint_anchor)
-        object.__setattr__(obj, "_frame0_cache", cached)  # frozen dataclass
-    return cached
-
-
-def _follow_constants(obj: ObjectModel):
-    """An articulated model's per-object terms of `object_follow`, cached on
-    the model: frame0, its inverse rotation (the transposed view), the grasp
-    offset's part perpendicular to the joint axis, and whether that part is
-    degenerate (the grasp point on the hinge axis)."""
-    cached = getattr(obj, "_follow_cache", None)
-    if cached is None:
-        frame0 = _frame0(obj)
-        r_perp = obj.grasp_offset - np.dot(obj.grasp_offset, obj.joint_axis) * obj.joint_axis
-        cached = (frame0, frame0.rotation_matrix.T, r_perp,
-                  np.linalg.norm(r_perp) < _PROJECTION_EPS)
-        object.__setattr__(obj, "_follow_cache", cached)  # frozen dataclass
-    return cached
-
-
 def movable_frame(obj: ObjectModel, state: ObjectState) -> Transform:
     """World frame of the movable part carrying the grasp point."""
     if obj.kind == FREE:
         if state.free_pose is None:
             raise ValueError("free object state needs free_pose")
         return state.free_pose
-    return compose(_frame0(obj), _joint_motion(obj, state.joint_value))
+    return compose(obj._frame0, _joint_motion(obj, state.joint_value))
 
 
 def grasp_point(obj: ObjectModel, state: ObjectState) -> np.ndarray:
@@ -155,7 +143,7 @@ def grasp_point(obj: ObjectModel, state: ObjectState) -> np.ndarray:
         local = rotvec_to_matrix(obj.joint_axis * state.joint_value) @ obj.grasp_offset
     else:
         local = obj.grasp_offset + obj.joint_axis * state.joint_value
-    return apply(_frame0(obj), local)
+    return apply(obj._frame0, local)
 
 
 def initial_state(obj: ObjectModel, joint_value: float = 0.0) -> ObjectState:
@@ -235,7 +223,7 @@ def object_follow(obj: ObjectModel, state: ObjectState, palm: Transform) -> Obje
         out.free_pose = compose(palm, state.attach_offset)
         return out
 
-    frame0, frame0_inv, r_perp, r_perp_degenerate = _follow_constants(obj)
+    frame0, frame0_inv, r_perp, r_perp_degenerate = obj._follow_constants
     p_local = frame0_inv @ (palm.translation - frame0.translation)
     axis = obj.joint_axis
     lo, hi = obj.joint_range
@@ -348,7 +336,8 @@ OBJECTS = {
     "holistic": _holistic,
 }
 
-# Skills each family supports, mirroring the taxonomy.
+# The skill taxonomy: the skills each family supports, in the order the
+# dataset's cells (and their per-cell seeds) follow.
 OBJECT_SKILLS = {
     "laptop": ("open", "close"),
     "table": ("open", "close"),

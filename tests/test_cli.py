@@ -207,6 +207,17 @@ def test_config_threshold_key_exits_two(tmp_path, capsys):
     assert "success_rate" not in out
 
 
+@pytest.mark.parametrize("offsets", [[0, 0], [-1.0, -0.5]])
+def test_config_base_offsets_off_the_front_exit_two(tmp_path, capsys, offsets):
+    # (0, 0) would leave reset no heading to face (a NaN observation);
+    # negative offsets would put the base behind the object
+    cfg = _cfg(tmp_path, {"episode": {"base_offset_range": offsets}})
+    code, out, err = run_cli(capsys, "eval", "--episodes", "1", "--config", str(cfg))
+    assert code == 2
+    assert "base_offset_range" in err
+    assert "success_rate" not in out
+
+
 @pytest.mark.parametrize("key", ["yaw_range", "object_height_range",
                                  "open_init_angle", "close_init_range"])
 def test_config_reset_distribution_key_exits_two(tmp_path, capsys, key):

@@ -105,6 +105,10 @@ def test_control_step_is_not_a_config_key():
     (lambda: EpisodeConfig(base_offset_range=(1.5, 1.0)), "base_offset_range"),
     (lambda: EpisodeConfig(base_offset_range=(1.0,)), "base_offset_range"),
     (lambda: EpisodeConfig(base_offset_range=(1.0, 1.2, 5.0)), "base_offset_range"),
+    (lambda: EpisodeConfig(base_offset_range=(0.0, 0.0)), "base_offset_range"),
+    (lambda: EpisodeConfig(base_offset_range=(-1.0, -0.5)), "base_offset_range"),
+    (lambda: EpisodeConfig(base_offset_range=(0.5, float("inf"))), "base_offset_range"),
+    (lambda: EpisodeConfig(base_offset_range=(float("nan"), 1.0)), "base_offset_range"),
     (lambda: PPOConfig(num_envs=0), "num_envs"),
     (lambda: PPOConfig(rollout_horizon=0), "rollout_horizon"),
     (lambda: PPOConfig(minibatches=0), "minibatches"),

@@ -311,7 +311,7 @@ def test_apply_action_hands_over_the_chain_at_the_new_q(spec, monkeypatch):
 
     monkeypatch.setattr(rb, "_wrist_chain", counting_chain)
     monkeypatch.setattr(rb, "ik_solve", recording_ik)
-    cap = rb._compiled(spec).step_cap[0:9]
+    cap = spec._compiled.step_cap[0:9]
     seen = {"converged": 0, "rate_limited": 0, "fixed_base": 0, "ik_warning": 0,
             "handed_over": 0, "recomputed": 0}
     for state, action, fixed_base in _step_cases(spec, np.random.default_rng(73), 90):

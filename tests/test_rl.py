@@ -7,8 +7,10 @@ import pytest
 
 from manibench import rl
 from manibench import world as w
-from manibench.env import EpisodeConfig
+from manibench.control import ScriptedController
+from manibench.env import Env, EpisodeConfig, run_episode
 from manibench.reward import RewardWeights
+from manibench.rl import ppo
 from manibench.rl.net import _ADAM_BLOCK, HIDDEN_WIDTHS, Workspace
 from manibench.robot import gripper_bot, make_robot
 
@@ -757,3 +759,51 @@ def test_malformed_checkpoint_is_value_error_naming_the_file(tmp_path, case):
     assert type(exc.value) is ValueError
     assert str(path) in str(exc.value)
     assert re.search(message, str(exc.value)), str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# network-input scale
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("robot", ["gripper-bot", "hand-bot"])
+def test_observation_inv_scale_follows_the_layout(robot):
+    spec = make_robot(robot)
+    n, j = spec.n_hand_points, spec.n_joints
+    low, high = rl.action_bounds(spec)
+
+    def full(size, scale):
+        return np.full(size, 1.0 / scale)
+
+    # proprioception in assemble's order: palm pose, palm velocities, hand
+    # point poses, their velocities, q, qdot, qddot
+    proprioception = np.concatenate([
+        np.ones(6), full(3, ppo._VEL_SCALE), full(3, ppo._ANGVEL_SCALE),
+        np.ones(6 * n), full(3 * n, ppo._VEL_SCALE), full(3 * n, ppo._ANGVEL_SCALE),
+        full(j, ppo._Q_SCALE), full(j, ppo._QDOT_SCALE), full(j, ppo._QDDOT_SCALE)])
+    expected = {"time": lambda size: np.ones(size),
+                "object_state": lambda size: np.ones(size),
+                "proprioception": lambda size: proprioception,
+                "distance": lambda size: full(size, ppo._DIST_SCALE),
+                "previous_action": lambda size: 1.0 / (0.5 * (high - low))}
+    layout = Env(EpisodeConfig(), w.make_task("laptop", "open"), spec).layout
+    inv = rl.observation_inv_scale(spec)
+    assert inv.shape == (layout.total,)
+    assert list(layout.slices()) == list(expected)
+    for name, block in layout.slices().items():
+        np.testing.assert_array_equal(inv[block], expected[name](block.stop - block.start),
+                                      err_msg=name)
+
+
+@pytest.mark.parametrize("robot", ["gripper-bot", "hand-bot"])
+def test_scaled_proprioception_stays_in_unit_range(robot):
+    # a part of the observation scaled by another part's constant (a reorder
+    # of assemble against observation_inv_scale) leaves this range: raw joint
+    # accelerations reach ~60 rad/s^2; the peak over this episode is 0.944
+    spec = make_robot(robot)
+    env = Env(EpisodeConfig(seed=0), w.make_task("laptop", "open"), spec)
+    inv = rl.observation_inv_scale(spec)
+    block = env.layout.slices()["proprioception"]
+    scaled = np.array([(obs * inv)[block] for _, obs, _ in
+                       run_episode(env, ScriptedController().deterministic_action, 0)])
+    assert env.success
+    assert np.abs(scaled).max() < 1.0

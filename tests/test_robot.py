@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -297,3 +300,41 @@ def test_rate_limit_respected(spec):
     dt = rb.DT
     nxt = rb.apply_action(spec, state, action)
     assert np.all(np.abs(nxt.q - state.q) <= spec.max_velocity * dt + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the model, pinned
+# ---------------------------------------------------------------------------
+
+def _field_bytes(value) -> bytes:
+    """Every field of a spec, recursively: arrays as dtype, shape and bytes,
+    Transforms as translation and rotation vector."""
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype.str}{value.shape}".encode() + value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__.encode() + b"".join(
+            f.name.encode() + _field_bytes(getattr(value, f.name))
+            for f in dataclasses.fields(value))
+    if isinstance(value, geo.Transform):
+        return _field_bytes(value.translation) + _field_bytes(value.rotation)
+    if isinstance(value, tuple):
+        return b"(" + b"".join(map(_field_bytes, value)) + b")"
+    return repr(value).encode()
+
+
+# every recorded dataset, checkpoint and benchmark figure rests on these bytes
+@pytest.mark.parametrize("make,digest", [
+    (rb.gripper_bot, "0d2a3d532b9e4fc4603fac800451ff3f982b67eac04d5269179c2bed30d2b9fa"),
+    (rb.hand_bot, "aa70b3d29673d14aa4638318d26ea7e816d059fae51ae5d663c4c8c11feaa46c"),
+])
+def test_robot_specs_are_pinned(make, digest):
+    assert hashlib.sha256(_field_bytes(make())).hexdigest() == digest
+
+
+@pytest.mark.parametrize("make", [rb.gripper_bot, rb.hand_bot])
+def test_effector_supplies_its_limits_and_rate(make):
+    spec = make()
+    eff = spec.effector
+    np.testing.assert_array_equal(spec.joint_limits[9:], np.array(eff.joint_limits))
+    np.testing.assert_array_equal(spec.max_velocity[9:], np.full(eff.dof, eff.max_velocity))
+    assert spec.n_distance_points == eff.n_distance_points

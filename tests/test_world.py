@@ -104,6 +104,28 @@ def test_skill_kind_compatibility():
         w.make_task("cart", "pick")
 
 
+def test_skill_table_is_pinned():
+    # generate_dataset's per-cell seeds and the benchmark's cell order follow it
+    assert list(w.OBJECT_SKILLS.items()) == [
+        ("laptop", ("open", "close")), ("table", ("open", "close")),
+        ("cabinet", ("open", "close")), ("faucet", ("open", "close")),
+        ("cart", ("pull", "push")), ("holistic", ("pick",))]
+    assert list(w.OBJECT_SKILLS) == list(w.OBJECTS)
+    for name in w.OBJECTS:
+        assert w.make_object(name).category_label == name
+
+
+def test_validate_skill_names_the_table():
+    w.validate_skill("cart", "push")
+    with pytest.raises(ValueError, match=r"^skill 'pick' not valid for 'laptop'; "
+                                         r"expected one of \('open', 'close'\)$"):
+        w.validate_skill("laptop", "pick")
+    with pytest.raises(ValueError, match=r"^unknown object 'toaster'; expected one of "):
+        w.validate_skill("toaster", "open")
+    with pytest.raises(ValueError, match="not valid for 'holistic'"):
+        w.TaskSpec(object=w.make_object("holistic"), skill="open")
+
+
 # ---------------------------------------------------------------------------
 # attachment / object_follow
 # ---------------------------------------------------------------------------
