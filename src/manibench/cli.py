@@ -1,9 +1,10 @@
 """Command-line entry point: train / eval / gen-data / stats / replay.
 
 Exit codes: 0 success, 1 runtime error, 2 usage or config error. Reports go
-to stdout, diagnostics to stderr. --workers sets the PPO rollout threads, so
-it matters to train only. gen-data records the scripted oracle on one process
-per CPU in its affinity mask.
+to stdout, diagnostics to stderr. --workers sets `ppo.workers`, the threads
+that each rollout of train steps its envs on, so it matters to train only.
+gen-data records the scripted oracle on one process per CPU in its affinity
+mask.
 """
 from __future__ import annotations
 

@@ -2,7 +2,7 @@
 
 Unknown keys are rejected by name; JSON syntax errors surface with
 line/column. Nested "episode" and "ppo" sections override EpisodeConfig and
-PPOConfig fields.
+PPOConfig fields; the PPO rollout threads are `ppo.workers` only.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ class RunConfig:
     seed: int = 0
     out: str = "runs/out"
     fixed_base: bool = False
-    workers: int = 1
     episodes: int = 200             # eval episode count
     trajectories: int = 10          # gen-data trajectories per task
     retries: int = 10               # gen-data seed retries per trajectory
@@ -37,8 +36,7 @@ class RunConfig:
     ppo: PPOConfig = field(default_factory=PPOConfig)
 
     def validate(self) -> "RunConfig":
-        for key, low in (("workers", 1), ("episodes", 1), ("trajectories", 1),
-                         ("retries", 0)):
+        for key, low in (("episodes", 1), ("trajectories", 1), ("retries", 0)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.robot not in ROBOTS:
@@ -95,7 +93,7 @@ def _apply_section(section_name: str, raw: dict, default_obj):
 
 
 # top-level keys that flow into the nested sections of the same name
-_PUSHED = {"episode": ("seed", "fixed_base"), "ppo": ("seed", "workers")}
+_PUSHED = {"episode": ("seed", "fixed_base"), "ppo": ("seed",)}
 
 
 def _push_down(cfg: RunConfig, keys, raw: dict | None = None) -> RunConfig:
@@ -140,9 +138,15 @@ def parse_config(text: str) -> RunConfig:
     return _push_down(cfg, scalar_defaults.keys(), raw)
 
 
-def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:
-    """CLI-flag overrides on top of a parsed document (None = not given)."""
+def apply_overrides(cfg: RunConfig, workers: int | None = None, **overrides) -> RunConfig:
+    """CLI-flag overrides on top of a parsed document (None = not given);
+    `workers` sets `ppo.workers`."""
     updates = {k: v for k, v in overrides.items() if v is not None}
+    if workers is not None:
+        try:
+            updates["ppo"] = replace(cfg.ppo, workers=workers)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if not updates:
         return cfg
     return _push_down(replace(cfg, **updates).validate(), updates.keys())

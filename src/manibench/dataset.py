@@ -293,19 +293,21 @@ def _task(object_name: str, skill: str) -> TaskSpec:
     return make_task(object_name, skill)
 
 
-def read(path) -> Trajectory:
-    path = Path(path)
-    data = path.read_bytes()
-    marker = b"\nEND_HEADER\n"
-    end = data.find(marker)
-    if not data.startswith(MAGIC_LINE.encode("utf-8")):
+_END_HEADER = b"\nEND_HEADER\n"
+
+
+def _header(path: Path, head: bytes, size: int):
+    """(Trajectory keywords but the arrays, frames, column widths, payload
+    offset) of the `size`-byte `.mmt` file at `path` whose first bytes, up to
+    END_HEADER at least, are `head`. A failed header check or a payload that
+    is not the declared frames' size raises MalformedTrajectory naming it."""
+    end = head.find(_END_HEADER)
+    if not head.startswith(MAGIC_LINE.encode("utf-8")):
         raise MalformedTrajectory(f"malformed trajectory {path}: bad magic line")
     if end < 0:
         raise MalformedTrajectory(f"malformed trajectory {path}: END_HEADER missing")
-    header_text = data[:end].decode("utf-8")
-    binary_start = end + len(marker)
     fields = {}
-    for line in header_text.splitlines()[1:]:
+    for line in head[:end].decode("utf-8").splitlines()[1:]:
         key, _, value = line.partition(": ")
         if key not in _HEADER_KEYS or key in fields:
             problem = "repeated" if key in fields else "unknown"
@@ -317,15 +319,15 @@ def read(path) -> Trajectory:
         joint_dim = int(fields["joint_dim"])
         action_dim = int(fields["action_dim"])
         obs_dim = int(fields["obs_dim"])
-        config = _from_header_json(EpisodeConfig, "config", fields["config"],
-                                   _CONFIG_FIELDS)
-        weights = _from_header_json(RewardWeights, "weights", fields["weights"],
-                                    _WEIGHT_FIELDS)
-        layout = json.loads(fields["layout"])
         meta = {"robot": fields["robot"], "object_name": fields["object"],
                 "skill": fields["skill"], "instruction": fields["instruction"],
                 "seed": int(fields["seed"]), "episode": int(fields["episode"]),
-                "success": {"true": True, "false": False}[fields["success"]]}
+                "success": {"true": True, "false": False}[fields["success"]],
+                "config": _from_header_json(EpisodeConfig, "config", fields["config"],
+                                            _CONFIG_FIELDS),
+                "weights": _from_header_json(RewardWeights, "weights", fields["weights"],
+                                             _WEIGHT_FIELDS),
+                "layout": json.loads(fields["layout"])}
     except (KeyError, ValueError, TypeError) as exc:
         raise MalformedTrajectory(f"malformed trajectory {path}: {exc}") from exc
     # the header must name a robot and a task that exist, in that robot's shape
@@ -338,7 +340,7 @@ def read(path) -> Trajectory:
         raise MalformedTrajectory(f"malformed trajectory {path}: frames is {frames}, "
                                   f"must be >= 0")
     for name, got, want in zip(("joint_dim", "action_dim", "obs_dim", "layout"),
-                               (joint_dim, action_dim, obs_dim, layout), robot_dims):
+                               (joint_dim, action_dim, obs_dim, meta["layout"]), robot_dims):
         if got != want:
             raise MalformedTrajectory(f"malformed trajectory {path}: {name} is {got}, "
                                       f"robot {meta['robot']} needs {want}")
@@ -348,16 +350,32 @@ def read(path) -> Trajectory:
         "wrist": 6, "object_state": 8, "grasp": 3, "goal": 3, "f_g": 1,
         "actions": action_dim, "reward_terms": 6, "observations": obs_dim,
     }
-    frame_width = sum(widths.values())
-    expected = frames * frame_width * 8
-    actual = len(data) - binary_start
+    start = end + len(_END_HEADER)
+    expected = frames * sum(widths.values()) * 8
+    actual = size - start
     if actual != expected:
         raise MalformedTrajectory(
             f"malformed trajectory {path}: binary payload is {actual} bytes, "
-            f"expected {expected}, at byte offset {binary_start + min(actual, expected)}")
+            f"expected {expected}, at byte offset {start + min(actual, expected)}")
+    return meta, frames, widths, start
+
+
+def _read_header(path: Path):
+    """`_header` of a `.mmt` file from its header bytes alone."""
+    with open(path, "rb") as f:
+        head = b""
+        while _END_HEADER not in head and (chunk := f.read(4096)):
+            head += chunk
+        return _header(path, head, os.fstat(f.fileno()).st_size)
+
+
+def read(path) -> Trajectory:
+    path = Path(path)
+    data = path.read_bytes()
+    meta, frames, widths, start = _header(path, data, len(data))
     # a view of the file's bytes; each field is copied out of it once
-    flat = np.frombuffer(data, dtype="<f8", offset=binary_start)
-    table = flat.reshape(frames, frame_width) if frames else flat.reshape(0, frame_width)
+    flat = np.frombuffer(data, dtype="<f8", offset=start)
+    table = flat.reshape(frames, sum(widths.values()))
     arrays = {}
     offset = 0
     for name in _ARRAY_FIELDS:
@@ -366,7 +384,7 @@ def read(path) -> Trajectory:
         arrays[name] = (chunk[:, 0] if width == 1 and name in ("t", "f_g")
                         else chunk).astype(np.float64)
         offset += width
-    return Trajectory(config=config, weights=weights, layout=layout, **meta, **arrays)
+    return Trajectory(**meta, **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -547,17 +565,16 @@ def stats(root) -> DatasetStats:
     root = Path(root)
     counts: dict = {}
     lengths: dict = {}
-    histogram: dict = {}
-    all_lengths = []
     for entry in manifest["tasks"]:
         key = (entry["object"], entry["skill"])
         counts[key] = counts.get(key, 0) + entry["count"]
         for rel in entry["files"]:
-            traj = read(root / rel)
-            lengths.setdefault(key, []).append(traj.length)
-            all_lengths.append(traj.length)
-            b = (traj.length // _HIST_BIN) * _HIST_BIN
-            histogram[b] = histogram.get(b, 0) + 1
+            lengths.setdefault(key, []).append(_read_header(root / rel)[1])
+    all_lengths = [n for cell in lengths.values() for n in cell]
+    histogram: dict = {}
+    for n in all_lengths:
+        b = (n // _HIST_BIN) * _HIST_BIN
+        histogram[b] = histogram.get(b, 0) + 1
     mean_length = float(np.mean(all_lengths)) if all_lengths else 0.0
     return DatasetStats(counts=counts, lengths=lengths, mean_length=mean_length,
                         histogram=histogram)

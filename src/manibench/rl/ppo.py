@@ -5,15 +5,14 @@ mean; a state-independent learned log-std (initialized to log(0.3 * limit))
 completes the distribution. Samples are clamped to per-component action
 limits. A same-shaped value MLP outputs the scalar state value.
 
-Rollout collection fans env stepping out over an optional thread pool; each
-env slot owns its Philox action-noise stream and per-slot episode counter,
-so a batch is bit-identical for any worker count or scheduling.
+Rollout collection steps the env slots in order or on a thread pool that the
+call owns; each env slot owns its Philox action-noise stream and per-slot
+episode counter, so a batch is bit-identical for any worker count or scheduling.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,9 +22,6 @@ from ..reward import RewardWeights
 from ..robot import RobotSpec
 from ..world import TaskSpec
 from .net import HIDDEN_WIDTHS, Adam, Mlp, Workspace, clip_gradients, init_mlp
-
-if TYPE_CHECKING:
-    import concurrent.futures
 
 _LOG_STD_MIN, _LOG_STD_MAX = -20.0, 2.0
 _LOG2PI = np.log(2.0 * np.pi)
@@ -324,34 +320,30 @@ class EnvSlot:
     """One env instance plus its private episode counter and noise stream."""
 
     def __init__(self, index: int, env: Env, seed: int):
-        self.index = index
         self.env = env
-        self.episodes_started = 0
         self.noise_rng = episode_rng(seed, _SLOT_EPISODE_STRIDE * index, STREAM_ACTION)
-        self.obs = env.reset(self._episode_id())
-        self.episodes_started = 1
+        self.next_episode = _SLOT_EPISODE_STRIDE * index
+        self.obs = self._reset()
         self.return_acc = 0.0
-        self.length_acc = 0
 
-    def _episode_id(self) -> int:
-        return _SLOT_EPISODE_STRIDE * self.index + self.episodes_started
+    def _reset(self) -> np.ndarray:
+        """Start the slot's next episode; returns its first observation."""
+        obs = self.env.reset(self.next_episode)
+        self.next_episode += 1
+        return obs
 
     def step(self, action: np.ndarray, weights: RewardWeights):
         obs, reward, done, _ = self.env.step(action, weights)
         self.return_acc += reward
-        self.length_acc += 1
-        finished = None
-        timeout_obs = None
+        finished = timeout_obs = None   # finished: (return, success, length)
         if done:
-            finished = (self.return_acc, self.env.success, self.length_acc)
+            finished = (self.return_acc, self.env.success, self.env.t)
             if not self.env.success:
                 timeout_obs = obs  # step-limit truncation, not terminal
             self.return_acc = 0.0
-            self.length_acc = 0
-            obs = self.env.reset(self._episode_id())
-            self.episodes_started += 1
+            obs = self._reset()
         self.obs = obs
-        return reward, done, finished, timeout_obs
+        return reward, finished, timeout_obs
 
 
 def make_slots(task: TaskSpec, robot_spec: RobotSpec, episode_config: EpisodeConfig,
@@ -361,8 +353,10 @@ def make_slots(task: TaskSpec, robot_spec: RobotSpec, episode_config: EpisodeCon
 
 
 def collect_rollouts(slots, policy: GaussianPolicy, value_net: Mlp, horizon: int,
-                     weights: RewardWeights, workers: int = 1,
-                     pool: concurrent.futures.Executor | None = None) -> RolloutBatch:
+                     weights: RewardWeights, workers: int = 1) -> RolloutBatch:
+    """One horizon of steps on every slot. With workers > 1 the slots step
+    on a thread pool that this call creates and shuts down; the batch is
+    the same for any worker count."""
     n = len(slots)
     batch = RolloutBatch(
         observations=np.empty((n, horizon, policy.obs_dim)),
@@ -373,11 +367,10 @@ def collect_rollouts(slots, policy: GaussianPolicy, value_net: Mlp, horizon: int
         dones=np.empty((n, horizon)),
         bootstrap=np.empty(n),
     )
-    own_pool = None
-    if pool is None and workers > 1:
+    pool = None
+    if workers > 1:
         import concurrent.futures   # only the pool path pays for the import
-        own_pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
-        pool = own_pool
+        pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
     truncations = []  # (slot index, t, terminal observation)
     try:
         for t in range(horizon):
@@ -391,20 +384,16 @@ def collect_rollouts(slots, policy: GaussianPolicy, value_net: Mlp, horizon: int
             actions = policy.sample(means, noise)
             log_probs = policy.log_prob(means, actions)
 
-            def run(slot_action):
-                slot, action = slot_action
-                return slot.step(action, weights)
-
-            work = list(zip(slots, actions))
-            results = list(pool.map(run, work)) if pool is not None else [run(x) for x in work]
+            results = list((map if pool is None else pool.map)(
+                lambda slot, action: slot.step(action, weights), slots, actions))
 
             batch.observations[:, t] = obs_mat
             batch.actions[:, t] = actions
             batch.log_probs[:, t] = log_probs
             batch.values[:, t] = values
-            for i, (reward, done, finished, timeout_obs) in enumerate(results):
+            for i, (reward, finished, timeout_obs) in enumerate(results):
                 batch.rewards[i, t] = reward
-                batch.dones[i, t] = float(done)
+                batch.dones[i, t] = float(finished is not None)
                 if timeout_obs is not None:
                     truncations.append((i, t, timeout_obs))
                 if finished is not None:
@@ -413,8 +402,8 @@ def collect_rollouts(slots, policy: GaussianPolicy, value_net: Mlp, horizon: int
                     batch.episode_successes.append(bool(success))
                     batch.episode_lengths.append(length)
     finally:
-        if own_pool is not None:
-            own_pool.shutdown()
+        if pool is not None:
+            pool.shutdown()
     final_obs = np.stack([slot.obs for slot in slots])
     batch.bootstrap = value_forward(value_net, policy, final_obs)
     batch.timeout_values = np.zeros_like(batch.rewards)
@@ -601,41 +590,32 @@ def train(task: TaskSpec, robot_spec: RobotSpec, cfg: PPOConfig,
     value_opt = Adam(value_net.parameters(), cfg.learning_rate)
     update_rng = _init_rng(cfg.seed, _STREAM_UPDATE)
     slots = make_slots(task, robot_spec, episode_config, cfg.num_envs)
-    pool = None
-    if cfg.workers > 1:
-        import concurrent.futures   # only the pool path pays for the import
-        pool = concurrent.futures.ThreadPoolExecutor(max_workers=cfg.workers)
 
     curve = []
     recent_returns: list = []
     recent_successes: list = []
-    try:
-        for iteration in range(cfg.iterations):
-            t0 = time.perf_counter()
-            batch = collect_rollouts(slots, policy, value_net,
-                                     cfg.rollout_horizon, weights,
-                                     workers=cfg.workers, pool=pool)
-            rollout_s = time.perf_counter() - t0
-            batch.advantages, batch.returns = compute_gae(
-                batch.rewards, batch.values, batch.dones, batch.bootstrap,
-                cfg.gamma, cfg.gae_lambda, timeout_values=batch.timeout_values)
-            t0 = time.perf_counter()
-            stats = ppo_update(policy, value_net, policy_opt, value_opt,
-                               batch, cfg, update_rng)
-            update_s = time.perf_counter() - t0
-            recent_returns = (recent_returns + batch.episode_returns)[-64:]
-            recent_successes = (recent_successes + batch.episode_successes)[-64:]
-            point = CurvePoint(
-                iteration=iteration,
-                mean_return=float(np.mean(recent_returns)) if recent_returns else 0.0,
-                success_rate=float(np.mean(recent_successes)) if recent_successes else 0.0,
-            )
-            curve.append(point)
-            if progress is not None:
-                progress(point, stats, rollout_s, update_s)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for iteration in range(cfg.iterations):
+        t0 = time.perf_counter()
+        batch = collect_rollouts(slots, policy, value_net, cfg.rollout_horizon,
+                                 weights, workers=cfg.workers)
+        rollout_s = time.perf_counter() - t0
+        batch.advantages, batch.returns = compute_gae(
+            batch.rewards, batch.values, batch.dones, batch.bootstrap,
+            cfg.gamma, cfg.gae_lambda, timeout_values=batch.timeout_values)
+        t0 = time.perf_counter()
+        stats = ppo_update(policy, value_net, policy_opt, value_opt,
+                           batch, cfg, update_rng)
+        update_s = time.perf_counter() - t0
+        recent_returns = (recent_returns + batch.episode_returns)[-64:]
+        recent_successes = (recent_successes + batch.episode_successes)[-64:]
+        point = CurvePoint(
+            iteration=iteration,
+            mean_return=float(np.mean(recent_returns)) if recent_returns else 0.0,
+            success_rate=float(np.mean(recent_successes)) if recent_successes else 0.0,
+        )
+        curve.append(point)
+        if progress is not None:
+            progress(point, stats, rollout_s, update_s)
     return TrainResult(policy=policy, value_net=value_net, curve=curve,
                        robot_name=robot_spec.name)
 

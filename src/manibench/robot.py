@@ -525,17 +525,16 @@ _IK_FAIL_POS = 1e-3
 
 
 def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
-             target: Transform, fixed_base: bool = False, _chain=None,
-             _return_chain: bool = False):
-    """Damped-least-squares IK for the wrist pose.
+             target: Transform, fixed_base: bool = False, chain=None):
+    """Damped-least-squares IK for the wrist pose; returns (q, chain).
 
-    Returns a copy of q0 with the first 9 (base+arm) entries updated;
-    effector joints are untouched. fixed_base freezes the 2 base columns.
-    Raises IkNotConverged when the position residual stays above 1e-3 m.
-    _chain lets the caller hand over the wrist chain it already holds for
-    q0. The loop's last chain is always the one at the q it returns (on
-    convergence, on a stall and after the final re-measure): _return_chain
-    hands it back, as (q, chain), and IkNotConverged carries it as `chain`.
+    q is a copy of q0 with the 9 base/arm entries solved and the effector
+    joints untouched; fixed_base freezes the 2 base columns. chain is
+    `_wrist_chain(spec, q, base_anchor)` on every exit (convergence, a
+    stall, the re-measure after the last iteration); the `chain` argument
+    hands in the caller's chain at q0. IkNotConverged, raised when the
+    position residual stays above 1e-3 m, carries the pair as `best_q` and
+    `chain`.
 
     The residual and Jacobian are built from the chain's floats. numpy does
     the 3x3 rotation product, j @ j.T, the solve and j.T @ (...): its
@@ -551,7 +550,6 @@ def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
 
     best_err = math.inf
     stalled = 0
-    chain = _chain
     for _ in range(_IK_MAX_ITERS):
         if chain is None:
             chain = _wrist_chain(spec, q, base_anchor)
@@ -560,7 +558,7 @@ def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
         e = np.array((tx - pw[0], ty - pw[1], tz - pw[2], *rot.tolist()))
         pos_err = vector_norm(e[0:3])
         if pos_err < _IK_POS_TOL and vector_norm(e[3:6]) < _IK_ROT_TOL:
-            return (q, chain) if _return_chain else q
+            return q, chain
         # residual stall (joint limits / unreachable target): bail out early
         # rather than limit-cycling through the full iteration budget
         if pos_err > best_err - 1e-7:
@@ -582,7 +580,7 @@ def ik_solve(spec: RobotSpec, q0: np.ndarray, base_anchor: Transform,
         pos_err = vector_norm(np.array((tx - pw[0], ty - pw[1], tz - pw[2])))
     if pos_err > _IK_FAIL_POS:
         raise IkNotConverged(q, pos_err, chain)
-    return (q, chain) if _return_chain else q
+    return q, chain
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +612,7 @@ def apply_action_with_chain(spec: RobotSpec, state: RobotState, action: np.ndarr
     ik_warning = False
     try:
         q_target, chain = ik_solve(spec, state.q, state.base_anchor, target,
-                                   fixed_base=fixed_base, _chain=state.chain,
-                                   _return_chain=True)
+                                   fixed_base=fixed_base, chain=state.chain)
     except IkNotConverged as exc:
         q_target, chain = exc.best_q, exc.chain
         ik_warning = True

@@ -159,7 +159,7 @@ def test_criterion_4_ik_contract():
             geo.matrix_to_rotvec(geo.rotvec_to_matrix(d_rot)
                                  @ geo.rotvec_to_matrix(wrist.rotation)))
         try:
-            q_sol = rb.ik_solve(spec, q, anchor, target)
+            q_sol, _ = rb.ik_solve(spec, q, anchor, target)
         except rb.IkNotConverged:
             continue
         achieved = rb.forward_kinematics(spec, q_sol, anchor).wrist

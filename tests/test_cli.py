@@ -75,6 +75,23 @@ def test_gen_data_stats_replay_round_trip(tmp_path, capsys):
     assert "replay_ok" in out
 
 
+def test_stats_truncated_file_exits_one(tmp_path, capsys):
+    out_dir = tmp_path / "data"
+    code, _, _ = run_cli(capsys, "gen-data", "--task", "laptop", "--skill", "open",
+                         "--out", str(out_dir), "--seed", "11",
+                         "--config", str(_cfg(tmp_path, {"trajectories": 1})))
+    assert code == 0
+    code, _, _ = run_cli(capsys, "stats", "--out", str(out_dir))
+    assert code == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    path = out_dir / manifest["tasks"][0]["files"][0]
+    path.write_bytes(path.read_bytes()[:-8])
+    code, out, err = run_cli(capsys, "stats", "--out", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert f"error: malformed trajectory {path}: binary payload" in err
+
+
 def _cfg(tmp_path, payload):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(payload))
@@ -147,6 +164,15 @@ def test_ppo_section_workers_below_one_exits_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "train", "--config", str(cfg))
     assert code == 2
     assert "ppo: workers must be >= 1, got 0" in err
+
+
+def test_top_level_workers_key_exits_two(tmp_path, capsys):
+    """The rollout threads are `ppo.workers` (or --workers) only."""
+    code, out, err = run_cli(capsys, "train", "--config", str(_cfg(tmp_path, {"workers": 2})),
+                             "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "config error: unknown key 'workers'" in err
+    assert out == "" and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("ppo,message", [

@@ -148,7 +148,7 @@ def test_section_value_out_of_range_is_config_error():
 def test_workers_below_one_is_config_error():
     with pytest.raises(ConfigError, match="workers must be >= 1, got -3"):
         apply_overrides(parse_config(""), workers=-3)
-    with pytest.raises(ConfigError, match="^workers must be >= 1, got 0"):
+    with pytest.raises(ConfigError, match="^unknown key 'workers'$"):
         parse_config('{"workers": 0}')
     with pytest.raises(ConfigError, match="ppo: workers must be >= 1, got 0"):
         parse_config('{"ppo": {"workers": 0}}')

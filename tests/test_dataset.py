@@ -2,6 +2,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -339,6 +340,30 @@ def test_stats_aggregates(small_dataset):
     report = ds.render_stats(st)
     assert "laptop" in report and "pick" in report
     assert report == ds.render_stats(ds.stats(root))  # regeneration identical
+
+
+def test_stats_reads_headers_only(small_dataset, monkeypatch):
+    """Each length comes from the file's `frames:` header line, and is the
+    length that a full read gives; no payload is decoded."""
+    root, manifest = small_dataset
+    lengths = {(entry["object"], entry["skill"]): [ds.read(root / rel).length
+                                                   for rel in entry["files"]]
+               for entry in manifest["tasks"]}
+    monkeypatch.setattr(ds, "read", None)
+    assert ds.stats(root).lengths == lengths
+
+
+def test_stats_names_a_truncated_file(tmp_path):
+    """The payload size is checked against the file size, so a file cut
+    short fails stats as it fails read."""
+    manifest = ds.generate_dataset(tmp_path, ScriptedController(),
+                                   [("gripper-bot", "laptop", "open")], 1,
+                                   EpisodeConfig(seed=0), seed=0, retries=3)
+    path = tmp_path / manifest["tasks"][0]["files"][0]
+    path.write_bytes(path.read_bytes()[:-17])
+    with pytest.raises(ds.MalformedTrajectory,
+                       match=f"malformed trajectory {re.escape(str(path))}: binary payload"):
+        ds.stats(tmp_path)
 
 
 def test_stats_empty_dataset(tmp_path):

@@ -235,7 +235,7 @@ def test_ik_solve_matches_reference_loop(spec):
     for q0, anchor, target, fixed_base in _ik_cases(spec, rng, 520):
         expected_q, expected_residual = reference_ik_solve(spec, q0, anchor, target, fixed_base)
         try:
-            q = rb.ik_solve(spec, q0, anchor, target, fixed_base=fixed_base)
+            q, _ = rb.ik_solve(spec, q0, anchor, target, fixed_base=fixed_base)
             residual = None
         except rb.IkNotConverged as exc:
             q, residual = exc.best_q, exc.residual
@@ -250,24 +250,53 @@ def assert_chain_bits_equal(actual, expected):
         assert_bits_equal(part, np.asarray(want, dtype=np.float64))
 
 
+def _ik_exit(chain, target, chain_calls):
+    """Which of ik_solve's three exits left `chain`: the re-measure after the
+    last iteration (one chain call more than the iterations), convergence
+    (the chain meets both tolerances) or a stall."""
+    if chain_calls == rb._IK_MAX_ITERS + 1:
+        return "re-measure"
+    rw, pw = np.array(chain[0]), np.array(chain[1])
+    rot = geo.matrix_to_rotvec(target.rotation_matrix @ rw.T)
+    if (np.linalg.norm(target.translation - pw) < rb._IK_POS_TOL
+            and np.linalg.norm(rot) < rb._IK_ROT_TOL):
+        return "converged"
+    return "stall"
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
-def test_ik_solve_reuses_handed_chain(spec):
-    """A chain handed in is used for q0, and the chain handed back (returned,
-    or carried by IkNotConverged) is the one at the returned q."""
-    rng = np.random.default_rng(72)
-    outcomes = set()
-    for q0, anchor, target, fixed_base in _ik_cases(spec, rng, 20):
-        chain = rb._wrist_chain(spec, q0, anchor)
+def test_ik_solve_reuses_handed_chain(spec, monkeypatch):
+    """On each of ik_solve's three exits the chain it hands back (returned,
+    or carried by IkNotConverged) is the one at the returned q. A chain
+    handed in for q0 saves one chain call and changes no bit."""
+    chain_fn = rb._wrist_chain
+    calls = [0]
+
+    def counting_chain(*args):
+        calls[0] += 1
+        return chain_fn(*args)
+
+    def solve(*args, **kwargs):
+        calls[0] = 0
         try:
-            with_chain, last = rb.ik_solve(spec, q0, anchor, target, fixed_base,
-                                           _chain=chain, _return_chain=True)
+            q, chain = rb.ik_solve(*args, **kwargs)
         except rb.IkNotConverged as exc:
-            with_chain, last = exc.best_q, exc.chain
-        expected, residual = reference_ik_solve(spec, q0, anchor, target, fixed_base)
-        assert_bits_equal(with_chain, expected)
-        assert_chain_bits_equal(last, rb._wrist_chain(spec, with_chain, anchor))
-        outcomes.add(residual is None)
-    assert outcomes == {True, False}
+            q, chain = exc.best_q, exc.chain
+        return q, chain, calls[0]
+
+    monkeypatch.setattr(rb, "_wrist_chain", counting_chain)
+    exits = {"converged": 0, "stall": 0, "re-measure": 0}
+    for q0, anchor, target, fixed_base in _ik_cases(spec, np.random.default_rng(71), 60):
+        q, chain, chain_calls = solve(spec, q0, anchor, target, fixed_base)
+        expected, _ = reference_ik_solve(spec, q0, anchor, target, fixed_base)
+        assert_bits_equal(q, expected)
+        assert_chain_bits_equal(chain, chain_fn(spec, q, anchor))
+        exits[_ik_exit(chain, target, chain_calls)] += 1
+        handed = solve(spec, q0, anchor, target, fixed_base, chain=chain_fn(spec, q0, anchor))
+        assert_bits_equal(handed[0], q)
+        assert_chain_bits_equal(handed[1], chain)
+        assert handed[2] == chain_calls - 1
+    assert min(exits.values()) >= 1, exits
 
 
 def _step_cases(spec, rng, n):

@@ -1,6 +1,7 @@
 import re
 import resource
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -437,6 +438,31 @@ def test_collect_rollouts_worker_count_invariant():
     np.testing.assert_array_equal(b1.actions, b8.actions)
     np.testing.assert_array_equal(b1.rewards, b8.rewards)
     np.testing.assert_array_equal(b1.dones, b8.dones)
+
+
+def test_consecutive_rollouts_match_across_worker_counts():
+    """Each collect_rollouts call creates and shuts down its own pool: two
+    calls in a row on the same slots give the workers=1 batches at
+    workers=4, episodes that end in the second call included, and leave no
+    thread behind."""
+    batches = {}
+    threads = threading.active_count()
+    for workers in (1, 4):
+        cfg, policy, value_net, slots = tiny_setup(n_envs=3)
+        batches[workers] = [rl.collect_rollouts(slots, policy, value_net, 12, RewardWeights(),
+                                                workers=workers) for _ in range(2)]
+        assert threading.active_count() == threads
+    for b1, b4 in zip(batches[1], batches[4]):
+        for name in ("observations", "actions", "log_probs", "values", "rewards", "dones",
+                     "bootstrap", "timeout_values"):
+            np.testing.assert_array_equal(getattr(b1, name), getattr(b4, name))
+        assert b1.episode_returns == b4.episode_returns
+        assert b1.episode_successes == b4.episode_successes
+        assert b1.episode_lengths == b4.episode_lengths
+    # each slot's 20-step episode ends at step 8 of the second call
+    assert batches[1][0].episode_lengths == []
+    assert batches[1][1].episode_lengths == [20, 20, 20]
+    assert np.array_equal(np.flatnonzero(batches[1][1].dones[0]), [7])
 
 
 def test_zero_advantage_keeps_policy_fixed():

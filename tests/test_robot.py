@@ -198,7 +198,7 @@ def test_ik_fixed_point(spec):
     q0 = np.zeros(spec.n_joints)
     q0[2:9] = spec.home_arm_q
     wrist = rb.forward_kinematics(spec, q0, anchor).wrist
-    q = rb.ik_solve(spec, q0, anchor, wrist)
+    q, _ = rb.ik_solve(spec, q0, anchor, wrist)
     np.testing.assert_array_equal(q, q0)
 
 
@@ -212,7 +212,7 @@ def test_ik_small_translation_converges(spec):
         delta = rng.normal(size=3)
         delta = delta / np.linalg.norm(delta) * rng.uniform(0.001, 0.02)
         target = geo.Transform(wrist.translation + delta, wrist.rotation)
-        q = rb.ik_solve(spec, q0, anchor, target)
+        q, _ = rb.ik_solve(spec, q0, anchor, target)
         achieved = rb.forward_kinematics(spec, q, anchor).wrist
         assert geo.point_distance(achieved.translation, target.translation) < 1e-4
         assert np.array_equal(q[9:], q0[9:])
@@ -233,7 +233,7 @@ def test_ik_fixed_base_leaves_base_joints(spec):
     q0[2:9] = spec.home_arm_q
     wrist = rb.forward_kinematics(spec, q0, anchor).wrist
     target = geo.Transform(wrist.translation + geo.vec3(0.0, 0.01, 0.0), wrist.rotation)
-    q = rb.ik_solve(spec, q0, anchor, target, fixed_base=True)
+    q, _ = rb.ik_solve(spec, q0, anchor, target, fixed_base=True)
     np.testing.assert_array_equal(q[0:2], q0[0:2])
 
 
