@@ -1,8 +1,10 @@
 """Command-line entry point: train / eval / gen-data / stats / replay.
 
 Exit codes: 0 success, 1 runtime error, 2 usage or config error. Reports go
-to stdout, diagnostics to stderr. --workers sets `ppo.workers`, the threads
-that each rollout of train steps its envs on, so it matters to train only.
+to stdout, diagnostics to stderr. Each command takes only the flags it reads
+(`COMMANDS`); any other flag is a usage error. The flags override the
+`--config` document; --workers sets `ppo.workers`, the threads that each
+rollout of train steps its envs on. replay reads only its trajectory file.
 gen-data records the scripted oracle on one process per CPU in its affinity
 mask.
 """
@@ -20,7 +22,28 @@ from .eval_harness import resolve_policy
 from .robot import make_robot
 from .world import make_task
 
-COMMANDS = ("train", "eval", "gen-data", "stats", "replay")
+_FLAGS = {
+    "--config": {"type": str, "help": "JSON run config"},
+    "--seed": {"type": int},
+    "--out": {"type": str, "help": "output directory"},
+    "--robot": {"type": str},
+    "--task": {"type": str, "help": "object family id"},
+    "--skill": {"type": str},
+    "--episodes": {"type": int},
+    "--fixed-base": {"action": "store_true"},
+    "--workers": {"type": int, "help": "PPO rollout threads"},
+}
+# each command's flags: the run-config values it reads
+COMMANDS = {
+    "train": ("--config", "--seed", "--out", "--robot", "--task", "--skill",
+              "--fixed-base", "--workers"),
+    "eval": ("--config", "--seed", "--robot", "--task", "--skill", "--episodes",
+             "--fixed-base"),
+    "gen-data": ("--config", "--seed", "--out", "--robot", "--task", "--skill",
+                 "--fixed-base"),
+    "stats": ("--config", "--out"),
+    "replay": (),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -29,31 +52,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Desk-scale mobile-manipulation training, evaluation, and data generation.",
     )
     sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
+    for name, flags in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None, help="JSON run config")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--robot", type=str, default=None)
-        p.add_argument("--task", type=str, default=None, help="object family id")
-        p.add_argument("--skill", type=str, default=None)
-        p.add_argument("--episodes", type=int, default=None)
-        p.add_argument("--fixed-base", action="store_true", default=None)
-        p.add_argument("--workers", type=int, default=None,
-                       help="PPO rollout threads; train only")
+        for flag in flags:
+            p.add_argument(flag, default=None, **_FLAGS[flag])
         if name == "replay":
             p.add_argument("trajectory", type=str, help="recorded .mmt file")
     return parser
 
 
 def _load_config(args) -> RunConfig:
-    text = ""
-    if args.config is not None:
-        text = Path(args.config).read_text(encoding="utf-8")
-    return apply_overrides(
-        parse_config(text), seed=args.seed, out=args.out, robot=args.robot,
-        task=args.task, skill=args.skill, episodes=args.episodes,
-        fixed_base=args.fixed_base, workers=args.workers)
+    """The `--config` document under the command's other flags."""
+    flags = vars(args).copy()
+    del flags["command"]
+    path = flags.pop("config")
+    text = "" if path is None else Path(path).read_text(encoding="utf-8")
+    return apply_overrides(parse_config(text), **flags)
 
 
 def _cmd_train(cfg: RunConfig) -> int:
@@ -114,11 +128,15 @@ def _cmd_stats(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_replay(cfg: RunConfig, trajectory_path: str) -> int:
+def _cmd_replay(trajectory_path: str) -> int:
     traj = ds.read(trajectory_path)
     ds.replay_trajectory(traj)
     print(f"replay_ok={trajectory_path} frames={traj.length}")
     return 0
+
+
+_RUNS = {"train": _cmd_train, "eval": _cmd_eval, "gen-data": _cmd_gen_data,
+         "stats": _cmd_stats}
 
 
 def main(argv=None) -> int:
@@ -127,26 +145,19 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
+    if args.command != "replay":
+        try:
+            cfg = _load_config(args)
+        except (ConfigError, OSError, ValueError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
     try:
-        cfg = _load_config(args)
-    except (ConfigError, OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.command == "train":
-            return _cmd_train(cfg)
-        if args.command == "eval":
-            return _cmd_eval(cfg)
-        if args.command == "gen-data":
-            return _cmd_gen_data(cfg)
-        if args.command == "stats":
-            return _cmd_stats(cfg)
         if args.command == "replay":
-            return _cmd_replay(cfg, args.trajectory)
+            return _cmd_replay(args.trajectory)
+        return _RUNS[args.command](cfg)
     except Exception as exc:  # runtime failure -> exit 1 with diagnostics
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -15,10 +15,12 @@ values that are fixed in the code: the grasp/success thresholds, the control
 step `dt` and the reset distribution (`yaw_range`, `object_height_range`,
 `open_init_angle`, `close_init_range`); a file with other values is
 malformed, and `read` names the field. So is a header with an unknown or
-repeated line, or an unknown key in its `config` or `weights` line. Recording and replay both step the
-env through `env.run_episode`, the one episode loop.
-Only successful episodes are stored. Images are not recorded; the header marks
-"sensors: none" for forward compatibility.
+repeated line, an unknown key or a value of the wrong type in its `config`
+or `weights` line (the `EpisodeConfig` and `RewardWeights` checks), or zero
+frames. Recording and replay both step the env through `env.run_episode`,
+the one episode loop.
+Only successful episodes, of at least one step, are stored. Images are not
+recorded; the header marks "sensors: none" for forward compatibility.
 """
 from __future__ import annotations
 
@@ -336,9 +338,10 @@ def _header(path: Path, head: bytes, size: int):
         validate_skill(meta["object_name"], meta["skill"])
     except ValueError as exc:
         raise MalformedTrajectory(f"malformed trajectory {path}: {exc}") from None
-    if frames < 0:
+    # only successful episodes are stored, and each took at least one step
+    if frames < 1:
         raise MalformedTrajectory(f"malformed trajectory {path}: frames is {frames}, "
-                                  f"must be >= 0")
+                                  f"must be >= 1")
     for name, got, want in zip(("joint_dim", "action_dim", "obs_dim", "layout"),
                                (joint_dim, action_dim, obs_dim, meta["layout"]), robot_dims):
         if got != want:

@@ -29,6 +29,7 @@ execution order or worker count.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -102,12 +103,21 @@ class EpisodeConfig:
     success_threshold: ClassVar[float] = SUCCESS_THRESHOLD
 
     def __post_init__(self):
+        for name in ("seed", "max_steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.fixed_base, bool):
+            raise ValueError(f"fixed_base must be a boolean, got {self.fixed_base!r}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         # the base must stand off the object, on its -y side: a zero offset
         # leaves reset no heading to face, a negative one puts it behind
         rng = self.base_offset_range
-        if rng is not None and not (len(rng) == 2 and 0.0 < rng[0] <= rng[1] < math.inf):
+        if rng is not None and not (
+                isinstance(rng, tuple) and len(rng) == 2
+                and not any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in rng)
+                and 0.0 < rng[0] <= rng[1] < math.inf):
             raise ValueError(f"base_offset_range must be (low, high), finite, with "
                              f"0 < low <= high, got {rng}")
 
@@ -144,6 +154,7 @@ class Env:
         self.episode = -1
         self.t = 0
         self.done = True  # must reset before stepping
+        self.success = False
         self._movable = (None, None)   # (object state, its movable-part rotation)
 
     # ------------------------------------------------------------------
@@ -197,7 +208,6 @@ class Env:
         self.t = 0
         self.success = False
         self.done = False
-        self.ik_warning = False
         return obs_mod.build_observation(self)
 
     # ------------------------------------------------------------------
@@ -268,15 +278,12 @@ class Env:
         self.t += 1
         self.success = self.success or success_now
         self.done = success_now or self.t >= self.config.max_steps
-        self.ik_warning = self.ik_warning or self.robot.ik_warning
 
         info = {
             "terms": terms,
             "f_g": f_g,
             "grasp_point": self.grasp,
             "goal_distance": goal_distance,
-            "success": success_now,
-            "ik_warning": self.robot.ik_warning,
             "attached": state.attached,
         }
         return obs_mod.build_observation(self), terms.total, self.done, info

@@ -52,7 +52,6 @@ class CellResult:
 @dataclass
 class MatrixResult:
     cells: list
-    episodes_per_cell: int
 
     def skill_means(self) -> dict:
         means: dict = {}
@@ -95,7 +94,7 @@ def run_matrix(matrix: TaskMatrix,
                        make_robot(cell.robot), config, matrix.episodes_per_cell)
         results.append(CellResult(cell=cell, success_rate=out.success_rate,
                                   records=out.records))
-    return MatrixResult(cells=results, episodes_per_cell=matrix.episodes_per_cell)
+    return MatrixResult(cells=results)
 
 
 def render_matrix(result: MatrixResult) -> str:
@@ -127,8 +126,6 @@ def render_matrix(result: MatrixResult) -> str:
 class AblationResult:
     mobile_rate: float
     fixed_rate: float
-    mobile_records: list
-    fixed_records: list
 
 
 def ablate_fixed_base(robot: str, object_name: str, skill: str,
@@ -144,7 +141,7 @@ def ablate_fixed_base(robot: str, object_name: str, skill: str,
         raise ValueError("no episodes")
     task = make_task(object_name, skill)
     spec = make_robot(robot)
-    out = {}
+    rates = {}
     for label, checkpoint, fixed in (("mobile", checkpoint_mobile, False),
                                      ("fixed", checkpoint_fixed, True)):
         policy = resolve_policy(checkpoint)
@@ -152,10 +149,5 @@ def ablate_fixed_base(robot: str, object_name: str, skill: str,
             raise FileNotFoundError(f"missing checkpoint for {label}: {checkpoint}")
         config = EpisodeConfig(seed=seed, fixed_base=fixed,
                                base_offset_range=base_offset_range)
-        out[label] = evaluate(policy, task, spec, config, episodes)
-    return AblationResult(
-        mobile_rate=out["mobile"].success_rate,
-        fixed_rate=out["fixed"].success_rate,
-        mobile_records=out["mobile"].records,
-        fixed_records=out["fixed"].records,
-    )
+        rates[label] = evaluate(policy, task, spec, config, episodes).success_rate
+    return AblationResult(mobile_rate=rates["mobile"], fixed_rate=rates["fixed"])

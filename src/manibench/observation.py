@@ -56,9 +56,6 @@ class ObservationLayout:
             offset += size
         return out
 
-    def block(self, values: np.ndarray, name: str) -> np.ndarray:
-        return values[self.slices()[name]]
-
     def to_dict(self) -> dict:
         return {"robot": self.robot_name, "total": self.total,
                 "blocks": [[name, size] for name, size in self.blocks]}

@@ -17,6 +17,7 @@ algebraic identity above holds exactly for every snapshot.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -46,8 +47,11 @@ class RewardWeights:
 
     def __post_init__(self):
         for name in ("distance", "approach", "grasp", "move", "success"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"reward weight {name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"reward weight {name} must be a number, got {value!r}")
+            if not value >= 0:
+                raise ValueError(f"reward weight {name} must be >= 0, got {value}")
 
 
 @dataclass
@@ -122,12 +126,9 @@ def reward_move(action: np.ndarray, palm_position: np.ndarray, goal: np.ndarray,
     return -weight * vector_norm(action[0:3] - (goal - palm_position))
 
 
-def reward_success(grasp: np.ndarray, goal: np.ndarray, weight: float, *,
-                   goal_distance: float | None = None) -> float:
-    """w * 1[|goal - grasp| < SUCCESS_THRESHOLD], strict inequality.
-    `goal_distance`, when given, is `point_distance(goal, grasp)`."""
-    if goal_distance is None:
-        goal_distance = point_distance(goal, grasp)
+def reward_success(goal_distance: float, weight: float) -> float:
+    """w * 1[goal_distance < SUCCESS_THRESHOLD], strict inequality;
+    `goal_distance` is `point_distance(goal, grasp)`."""
     return weight if goal_distance < SUCCESS_THRESHOLD else 0.0
 
 
@@ -162,8 +163,7 @@ def total_reward(snapshot: RewardSnapshot, action: np.ndarray,
     r_g = weights.grasp
     r_m = reward_move(action, snapshot.palm_position, snapshot.goal_point,
                       weights.move)
-    r_s = reward_success(snapshot.grasp_point, snapshot.goal_point, weights.success,
-                         goal_distance=goal_distance)
+    r_s = reward_success(goal_distance, weights.success)
     gate = 1.0 if f_g else 0.0
     total = r_d + (1.0 - gate) * r_a + gate * (r_g + r_m + r_s)
     return RewardTerms(r_d=r_d, r_a=r_a, r_g=r_g, r_m=r_m, r_s=r_s,

@@ -549,7 +549,6 @@ class TrainResult:
     policy: GaussianPolicy
     value_net: Mlp
     curve: list
-    robot_name: str
 
 
 def _init_rng(seed: int, stream: int) -> np.random.Generator:
@@ -616,8 +615,7 @@ def train(task: TaskSpec, robot_spec: RobotSpec, cfg: PPOConfig,
         curve.append(point)
         if progress is not None:
             progress(point, stats, rollout_s, update_s)
-    return TrainResult(policy=policy, value_net=value_net, curve=curve,
-                       robot_name=robot_spec.name)
+    return TrainResult(policy=policy, value_net=value_net, curve=curve)
 
 
 def write_curve(path, curve) -> None:

@@ -324,8 +324,8 @@ class KinematicFrames:
     hand_positions: np.ndarray   # (N, 3) world positions of the hand points
     hand_rotations: np.ndarray | None   # (N, 3, 3) their world rotation
                                         # matrices; None: each is the palm's
-    distance_points: np.ndarray  # (15|22, 3) world positions
-    joint_origins: np.ndarray    # (9, 3) base+arm joint origins
+    distance_points: np.ndarray  # (15|22, 3) world positions; the first 9
+                                 # are the base+arm joint origins
 
 
 class _CompiledSpec:
@@ -484,8 +484,7 @@ def forward_kinematics(spec: RobotSpec, q: np.ndarray,
 
     return KinematicFrames(wrist=wrist, palm=palm, hand_positions=hand_positions,
                            hand_rotations=hand_rotations,
-                           distance_points=distance_points,
-                           joint_origins=distance_points[0:9])
+                           distance_points=distance_points)
 
 
 def wrist_jacobian(spec: RobotSpec, q: np.ndarray, base_anchor: Transform) -> np.ndarray:

@@ -152,10 +152,43 @@ def test_train_smoke_writes_checkpoint_and_curve(tmp_path, capsys):
 ])
 def test_count_out_of_range_exits_two(tmp_path, capsys, argv, message):
     argv = [str(_cfg(tmp_path, a)) if isinstance(a, dict) else a for a in argv]
-    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    if argv[0] != "eval":   # eval writes nothing and takes no --out
+        argv += ["--out", str(tmp_path / "out")]
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert f"config error: {message}" in err
     assert out == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("replay", "--seed", "1", "traj.mmt"),
+    ("eval", "--workers", "2"),
+    ("eval", "--out", "d"),
+    ("gen-data", "--episodes", "3"),
+    ("stats", "--robot", "hand-bot"),
+])
+def test_flag_the_command_does_not_read_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)   # a command that runs anyway writes its default out here
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert f"unrecognized arguments: {argv[1]}" in err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train", "--config --seed --out --robot --task --skill --fixed-base --workers"),
+    ("eval", "--config --seed --robot --task --skill --episodes --fixed-base"),
+    ("gen-data", "--config --seed --out --robot --task --skill --fixed-base"),
+    ("stats", "--config --out"),
+    ("replay", ""),
+])
+def test_help_lists_only_the_command_flags(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert listed == flags.split()
 
 
 def test_ppo_section_workers_below_one_exits_two(tmp_path, capsys):
@@ -374,7 +407,10 @@ _MMT_EDITS = {
         "joint_dim is 9, robot gripper-bot needs 10"),
     "frames_negative": (lambda data: re.sub(rb"\nframes: \d+\n", b"\nframes: -1\n", data,
                                             count=1),
-                        "frames is -1, must be >= 0"),
+                        "frames is -1, must be >= 1"),
+    # only successful episodes are stored, and success takes a step
+    "frames_zero": (lambda data: re.sub(rb"\nframes: \d+\n", b"\nframes: 0\n", data, count=1),
+                    "frames is 0, must be >= 1"),
 }
 
 

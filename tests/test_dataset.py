@@ -274,6 +274,32 @@ def test_header_json_line_that_is_not_an_object_is_malformed(tmp_path, lid_traje
     assert str(exc.value) == f"malformed trajectory {path}: weights is not a JSON object"
 
 
+@pytest.mark.parametrize("line,key,value,message", [
+    ("config", "seed", 1.5, "seed must be an integer, got 1.5"),
+    ("config", "seed", True, "seed must be an integer, got True"),
+    ("config", "max_steps", {"hex": (300.0).hex()}, "max_steps must be an integer, got 300.0"),
+    ("config", "fixed_base", "no", "fixed_base must be a boolean, got 'no'"),
+    ("config", "fixed_base", 0, "fixed_base must be a boolean, got 0"),
+    ("config", "base_offset_range", ["a", "b"], "base_offset_range must be (low, high), "
+     "finite, with 0 < low <= high, got ('a', 'b')"),
+    ("config", "base_offset_range", [True, {"hex": (1.2).hex()}], "base_offset_range must be "
+     "(low, high), finite, with 0 < low <= high, got (True, 1.2)"),
+    ("config", "base_offset_range", {"hex": (1.2).hex()}, "base_offset_range must be "
+     "(low, high), finite, with 0 < low <= high, got 1.2"),
+    ("weights", "distance", True, "reward weight distance must be a number, got True"),
+    ("weights", "move", "0.2", "reward weight move must be a number, got '0.2'"),
+])
+def test_header_setting_of_the_wrong_type_is_malformed(tmp_path, lid_trajectory, line, key,
+                                                       value, message):
+    """The header's settings pass the same checks as a run config's."""
+    path = tmp_path / "a.mmt"
+    ds.write(lid_trajectory, path)
+    edit_header_line(path, line, key, value)
+    with pytest.raises(ds.MalformedTrajectory) as exc:
+        ds.read(path)
+    assert str(exc.value) == f"malformed trajectory {path}: {message}"
+
+
 def _frames(traj, rows):
     return dataclasses.replace(
         traj, **{name: getattr(traj, name)[rows] for name in ds._ARRAY_FIELDS})
@@ -283,6 +309,11 @@ def test_replay_without_last_frame_did_not_succeed(lid_trajectory):
     shorter = _frames(lid_trajectory, slice(0, -1))
     with pytest.raises(ds.ReplayMismatch, match="did not succeed"):
         ds.replay_trajectory(shorter)
+
+
+def test_replay_of_zero_frames_did_not_succeed(lid_trajectory):
+    with pytest.raises(ds.ReplayMismatch, match="did not succeed"):
+        ds.replay_trajectory(_frames(lid_trajectory, slice(0, 0)))
 
 
 def test_replay_past_episode_end_ended_early(lid_trajectory):

@@ -26,7 +26,7 @@ def test_skill_mean_arithmetic():
         eh.CellResult(eh.MatrixCell("gripper-bot", "laptop", "open"), 0.8),
         eh.CellResult(eh.MatrixCell("gripper-bot", "table", "open"), 0.6),
     ]
-    result = eh.MatrixResult(cells=cells, episodes_per_cell=10)
+    result = eh.MatrixResult(cells=cells)
     assert result.skill_means()["open"] == pytest.approx(0.7)
 
 
@@ -57,7 +57,7 @@ def test_grand_mean_is_episode_weighted():
         eh.CellResult(eh.MatrixCell("gripper-bot", "laptop", "open"), 2 / 3, records_a),
         eh.CellResult(eh.MatrixCell("gripper-bot", "holistic", "pick"), 0.0, records_b),
     ]
-    result = eh.MatrixResult(cells=cells, episodes_per_cell=3)
+    result = eh.MatrixResult(cells=cells)
     assert result.grand_mean() == pytest.approx(2 / 6)
 
 

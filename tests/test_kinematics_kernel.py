@@ -409,7 +409,7 @@ def test_stacked_fingertips_match_per_finger_products(kind):
             goal=np.zeros(3), frames=now, prev_frames=prev, q=q_now,
             qdot=np.zeros(spec.n_joints), qddot=np.zeros(spec.n_joints),
             prev_action=np.zeros(spec.action_dim))
-        prop = layout.block(obs, "proprioception")
+        prop = obs[layout.slices()["proprioception"]]
         tip_rot = prop[12 + 3 * n:12 + 6 * n].reshape(n, 3)
         tip_w = prop[12 + 9 * n:12 + 12 * n].reshape(n, 3)
         for i in range(n):

@@ -229,7 +229,7 @@ def test_fingertips_turning_with_the_palm_reuse_its_rotation(robot, rotvec_calls
     obs = obs_mod.build_observation(env)
     assert len(calls) == rotvec_calls
     n = env.robot_spec.n_hand_points
-    prop = env.layout.block(obs, "proprioception")
+    prop = obs[env.layout.slices()["proprioception"]]
     tip_rot = prop[12 + 3 * n:12 + 6 * n].reshape(n, 3)
     tip_w = prop[12 + 9 * n:12 + 12 * n].reshape(n, 3)
     now, prev = env.frames.hand_rotations, env.prev_frames.hand_rotations

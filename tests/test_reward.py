@@ -210,9 +210,9 @@ def test_norms_are_np_linalg_norm_bit_for_bit():
 
 
 def test_success_bonus_values():
-    assert rw.reward_success(np.zeros(3), np.zeros(3), 2.0) == 2.0
-    assert rw.reward_success(np.zeros(3), np.array([0.05, 0, 0]), 2.0) == 0.0
-    assert rw.reward_success(np.zeros(3), np.array([0.049, 0, 0]), 2.0) == 2.0
+    assert rw.reward_success(0.0, 2.0) == 2.0
+    assert rw.reward_success(0.05, 2.0) == 0.0
+    assert rw.reward_success(0.049, 2.0) == 2.0
 
 
 # ---------------------------------------------------------------------------

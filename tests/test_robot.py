@@ -91,7 +91,6 @@ def test_fk_counts(spec):
     else:
         assert frames.hand_rotations is None    # gripper tips turn with the palm
     assert frames.distance_points.shape == (spec.n_distance_points, 3)
-    assert frames.joint_origins.shape == (9, 3)
 
 
 def test_gripper_hand_points_track_opening():
@@ -137,7 +136,7 @@ def test_revolute_column_geometric_definition():
     j = rb.wrist_jacobian(spec, q, anchor)
     # shoulder yaw joint (column 2) sits well below/behind the wrist
     axis = np.array(rb._wrist_chain(spec, q, anchor)[3][2])
-    origin = frames.joint_origins[2]
+    origin = frames.distance_points[2]   # the first 9 are the joint origins
     np.testing.assert_allclose(j[3:6, 2], axis, atol=1e-12)
     np.testing.assert_allclose(
         j[0:3, 2], np.cross(axis, frames.wrist.translation - origin), atol=1e-12)
@@ -150,7 +149,7 @@ def test_jacobian_equals_column_by_column_cross_products():
             q = rng.uniform(spec.joint_limits[:, 0], spec.joint_limits[:, 1])
             anchor = geo.transform(*rng.uniform(-1, 1, 2), 0.0, rz=rng.uniform(-3, 3))
             frames = rb.forward_kinematics(spec, q, anchor)
-            pw, origins = frames.wrist.translation, frames.joint_origins
+            pw, origins = frames.wrist.translation, frames.distance_points[0:9]
             axes = np.array(rb._wrist_chain(spec, q, anchor)[3])
             expected = np.zeros((6, 9))
             for i in range(9):

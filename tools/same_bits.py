@@ -16,18 +16,26 @@ the lines. The outputs are:
   update) at 64 envs x 32 steps, 16-step episodes, seed 0 on gripper-bot
   lid-open: both rounds' rollout batches, then the policy and value
   parameters, then both optimizers' moments;
-- `checkpoint.<robot>`: the `build_nets` checkpoint at seed 0.
+- `checkpoint.<robot>`: the `build_nets` checkpoint at seed 0;
+- `cli.<command>`: the exit code and stdout of `manibench <command>`, with
+  the temporary directory's name masked: `eval` of 3 scripted episodes at
+  seed 0, `gen-data` of one gripper-bot lid-open trajectory at seed 3,
+  `stats` of that dataset and `replay` of its file.
 
-Only `manibench` is imported. It takes about ten seconds on two cores.
+Only `manibench` is imported. It takes about fifteen seconds on two cores.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from manibench import cli
 from manibench import dataset as ds
 from manibench import rl
 from manibench.control import ScriptedController
@@ -125,6 +133,27 @@ def checkpoint_hash(tmp: Path, robot: str) -> str:
     return _digest([path.read_bytes()])
 
 
+def _cli_digest(tmp: Path, argv: list) -> str:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    return _digest([f"{code}\n{stdout.getvalue()}".replace(str(tmp), "<tmp>").encode()])
+
+
+def cli_hashes(tmp: Path) -> dict:
+    data, config = tmp / "cli-data", tmp / "cli.json"
+    config.write_text(json.dumps({"trajectories": 1}))
+    out = {
+        "cli.eval": _cli_digest(tmp, ["eval", "--episodes", "3", "--seed", "0"]),
+        "cli.gen-data": _cli_digest(tmp, ["gen-data", "--config", str(config),
+                                          "--out", str(data), "--seed", "3"]),
+        "cli.stats": _cli_digest(tmp, ["stats", "--out", str(data)]),
+    }
+    manifest = json.loads((data / ds.MANIFEST_NAME).read_text())
+    out["cli.replay"] = _cli_digest(tmp, ["replay", str(data / manifest["tasks"][0]["files"][0])])
+    return out
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="same-bits-") as tmp:
         tmp = Path(tmp)
@@ -133,6 +162,7 @@ def main() -> None:
         hashes.update(ppo_hashes())
         for robot in ("gripper-bot", "hand-bot"):
             hashes[f"checkpoint.{robot}"] = checkpoint_hash(tmp, robot)
+        hashes.update(cli_hashes(tmp))
     for name, digest in hashes.items():
         print(f"{name}\t{digest}")
 
